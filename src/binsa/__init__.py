@@ -20,10 +20,7 @@ from .binning import (
     analyze,
     bin_count_first,
     bin_count_second_per_dim,
-    bin_edges,
     conservation_check,
-    first_order_index,
-    second_order_index,
 )
 from .core import (
     Dataset,
@@ -35,7 +32,6 @@ from .core import (
     stable_mean,
     stable_sum,
     stable_variance,
-    weighted_variance,
 )
 from .io import (
     StudyConfig,
@@ -83,7 +79,6 @@ __all__ = [
     "stable_sum",
     "stable_mean",
     "stable_variance",
-    "weighted_variance",
     "pearson",
     "spearman",
     # sampling
@@ -107,9 +102,6 @@ __all__ = [
     "BinningConfig",
     "bin_count_first",
     "bin_count_second_per_dim",
-    "bin_edges",
-    "first_order_index",
-    "second_order_index",
     "analyze",
     "conservation_check",
     # oracle

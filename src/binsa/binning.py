@@ -10,15 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SensitivityReport, stable_mean, stable_sum, stable_variance
+from .core import SensitivityReport, stable_sum, stable_variance
 
 __all__ = [
     "BinningConfig",
     "bin_count_first",
     "bin_count_second_per_dim",
-    "bin_edges",
-    "first_order_index",
-    "second_order_index",
     "analyze",
     "conservation_check",
 ]
@@ -92,32 +89,24 @@ def bin_count_second_per_dim(n_obs):
     return max(2, round(math.sqrt(n_obs / _PAIR_CELL_OCCUPANCY)))
 
 
-def bin_edges(column, spec, n_bins):
-    """Equal-width edges over the observed range, or the category level map."""
-    column = np.asarray(column, dtype=float)
+def _cell_indices(column, spec, resolutions):
+    """Bin index per row at each bin count in resolutions: equal-width over
+    the observed [min, max], rightmost inclusive. Categorical columns bin by
+    level code at every resolution."""
     if spec.distribution.kind == "categorical":
-        return np.arange(len(spec.distribution.levels) + 1, dtype=float) - 0.5
-    if n_bins < 2:
-        raise ValueError("n_bins must be >= 2")
-    lo = float(column.min())
-    hi = float(column.max())
-    if lo == hi:
-        raise ValueError("degenerate input")
-    return np.linspace(lo, hi, n_bins + 1)
-
-
-def _cell_indices(column, spec, n_bins):
-    """Bin index per row: equal-width over [min, max], rightmost inclusive."""
-    if spec is not None and spec.distribution.kind == "categorical":
-        n = len(spec.distribution.levels)
-        return column.astype(np.int64), n
+        codes = column.astype(np.int64)
+        return [(codes, len(spec.distribution.levels))] * len(resolutions)
     lo = column.min()
     hi = column.max()
     if lo == hi:
         raise ValueError("degenerate input")
-    idx = np.floor((column - lo) * (n_bins / (hi - lo))).astype(np.int64)
-    np.clip(idx, 0, n_bins - 1, out=idx)
-    return idx, n_bins
+    offset = column - lo
+    cells = []
+    for n_bins in resolutions:
+        idx = np.floor(offset * (n_bins / (hi - lo))).astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        cells.append((idx, n_bins))
+    return cells
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
@@ -136,52 +125,16 @@ def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
     return wvar / var_y
 
 
-def first_order_index(x, y, spec, n_bins):
-    """Fraction of output variance explained by one input alone."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be equal-length vectors")
-    var_y = stable_variance(y)
-    if var_y == 0.0:
-        raise ValueError("constant output")
-    idx, n_cells = _cell_indices(x, spec, n_bins)
-    return _conditional_variance_ratio(idx, n_cells, y, var_y)
-
-
-def second_order_index(xi, xj, y, specs, m):
-    """Joint-effect index of a pair beyond their first-order effects.
-
-    All three terms share the same per-axis bin count m so the bin geometry
-    is identical across the joint and marginal conditional variances.
-    """
-    xi = np.asarray(xi, dtype=float)
-    xj = np.asarray(xj, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if m < 2:
-        raise ValueError("m must be >= 2")
-    var_y = stable_variance(y)
-    if var_y == 0.0:
-        raise ValueError("constant output")
-    if m * m > y.size / 5:
-        warnings.warn("sparse grid: m^2 exceeds N/5", stacklevel=2)
-    spec_i, spec_j = specs
-    ci, ni = _cell_indices(xi, spec_i, m)
-    cj, nj = _cell_indices(xj, spec_j, m)
-    joint = _conditional_variance_ratio(ci * nj + cj, ni * nj, y, var_y)
-    si = _conditional_variance_ratio(ci, ni, y, var_y)
-    sj = _conditional_variance_ratio(cj, nj, y, var_y)
-    return joint - si - sj
-
-
-def analyze(dataset, config=None, reuse_first_order_marginals=False):
+def analyze(dataset, config=None):
     """Full sensitivity report for a dataset.
 
     First-order indices use the table-interpolated bin count; every pair gets
-    a second-order index on an m x m grid with marginal terms recomputed at m
-    bins (set reuse_first_order_marginals=True to subtract the full-resolution
-    first-order values instead, for comparison). Constant input columns are
-    assigned index 0 with a warning instead of failing the analysis.
+    a second-order index on an m x m grid, with both marginal terms
+    recomputed at m bins so the joint and marginal conditional variances
+    share one bin geometry. Constant input columns are assigned index 0
+    instead of failing the analysis, and a grid with fewer than 5 rows per
+    cell on average (m^2 > N/5) is kept; each case is recorded in
+    report.warnings and emitted as a UserWarning.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
@@ -193,15 +146,17 @@ def analyze(dataset, config=None, reuse_first_order_marginals=False):
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
     notes = []
+    if k > 1 and m * m > n / 5:
+        notes.append("sparse grid: m^2 exceeds N/5")
     cells_first = {}
     cells_pair = {}
-    for i in range(k):
+    for i, spec in enumerate(dataset.specs):
         try:
-            cells_first[i] = _cell_indices(dataset.column(i), dataset.specs[i], nb)
-            cells_pair[i] = _cell_indices(dataset.column(i), dataset.specs[i], m)
+            cells_first[i], cells_pair[i] = _cell_indices(dataset.column(i), spec, (nb, m))
         except ValueError:
             notes.append(f"degenerate input column {dataset.names[i]!r}: indices set to 0")
-            warnings.warn(notes[-1], stacklevel=2)
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
 
     first = np.zeros(k)
     for i, (ci, n_cells) in cells_first.items():
@@ -215,11 +170,7 @@ def analyze(dataset, config=None, reuse_first_order_marginals=False):
                 continue
             (ci, ni), (cj, nj) = cells_pair[i], cells_pair[j]
             joint = _conditional_variance_ratio(ci * nj + cj, ni * nj, y, var_y)
-            if reuse_first_order_marginals:
-                s = joint - first[i] - first[j]
-            else:
-                s = joint - marg[i] - marg[j]
-            second[i, j] = second[j, i] = s
+            second[i, j] = second[j, i] = joint - marg[i] - marg[j]
 
     combined = first + 0.5 * second.sum(axis=1)
     return SensitivityReport(

@@ -15,6 +15,7 @@ from .benchmarks import default_specs, evaluate, get_model
 from .binning import BinningConfig, analyze, conservation_check
 from .core import Dataset, pearson, spearman
 from .io import (
+    SCHEMA_VERSION,
     UserInputError,
     config_from_dict,
     fmt_number,
@@ -24,6 +25,7 @@ from .io import (
     report_tables_csv,
     report_to_dict,
     scenario_table_csv,
+    table_csv,
     write_dataset_csv,
 )
 from .oracle import estimate_sobol
@@ -166,7 +168,7 @@ def cmd_compare(config):
             o = float(oracle.second_order[i, j])
             second[f"{names[i]}*{names[j]}"] = {"binning": b, "oracle": o, "delta": b - o}
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "first_order": first,
         "second_order": second,
         "binning_evaluations": dataset.n_rows,
@@ -188,18 +190,19 @@ def cmd_sweep_dependence(config):
         if config.model
         else ["two_factor_additive", "two_factor_multiplicative"]
     )
-    rows = []
-    header = [
-        "model",
-        "dependence",
-        "parameter",
-        "pearson",
-        "spearman",
-        "S_A",
-        "S_B",
-        "S_AB",
-        "sum",
-        "status",
+    rows = [
+        [
+            "model",
+            "dependence",
+            "parameter",
+            "pearson",
+            "spearman",
+            "S_A",
+            "S_B",
+            "S_AB",
+            "sum",
+            "status",
+        ]
     ]
     for model_name in models:
         model = get_model(model_name)
@@ -241,10 +244,7 @@ def cmd_sweep_dependence(config):
                 )
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
-    meta = json.dumps(_metadata(config), sort_keys=True)
-    lines = ["# meta " + meta, ",".join(header)]
-    lines += [",".join(str(c) for c in row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    _write(path, table_csv(rows, _metadata(config)))
     print(path)
     return 0
 

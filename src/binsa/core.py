@@ -21,7 +21,6 @@ __all__ = [
     "stable_sum",
     "stable_mean",
     "stable_variance",
-    "weighted_variance",
     "pearson",
     "spearman",
 ]
@@ -187,26 +186,6 @@ def stable_variance(values, mean=None):
     if mean is None:
         mean = stable_mean(v)
     return stable_sum((v - mean) ** 2) / v.size
-
-
-def weighted_variance(bin_means, bin_counts, grand_mean):
-    """Occupancy-weighted variance of bin means around a grand mean.
-
-    Bins with zero count contribute nothing (their means are ignored and may
-    be NaN). Raises if every bin is empty.
-    """
-    means = np.asarray(bin_means, dtype=float)
-    counts = np.asarray(bin_counts, dtype=float)
-    if means.shape != counts.shape or means.ndim != 1 or means.size < 1:
-        raise ValueError("bin means and counts must be equal-length vectors")
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise ValueError("bin counts must be non-negative integers")
-    total = counts.sum()
-    if total == 0:
-        raise ValueError("empty binning")
-    occ = counts > 0
-    terms = counts[occ] * (means[occ] - grand_mean) ** 2
-    return stable_sum(terms) / total
 
 
 def pearson(x, y):

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binning import conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution
 from .sampling import DependencePlan, SamplingPlan
 from .simdec import State, StateDefinition
@@ -138,7 +139,6 @@ def report_to_dict(report, metadata=None):
     for i in range(k):
         for j in range(i + 1, k):
             upper[f"{names[i]}*{names[j]}"] = report.second_order[i, j]
-    conservation = float(report.first_order.sum() + sum(upper.values()))
     return {
         "schema_version": SCHEMA_VERSION,
         "first_order": dict(zip(names, report.first_order.tolist())),
@@ -147,53 +147,54 @@ def report_to_dict(report, metadata=None):
         "var_y": report.var_y,
         "n_bins_first": report.n_bins_first,
         "n_bins_second_per_dim": report.n_bins_second_per_dim,
-        "conservation_sum": conservation,
+        "conservation_sum": conservation_check(report),
         "warnings": list(report.warnings),
         "metadata": metadata or {},
     }
 
 
-def report_tables_csv(report, metadata=None):
-    """First-order row plus upper-triangle second-order matrix as CSV text."""
+def table_csv(rows, metadata=None):
+    """CSV text of rows (lists of cells), after a '# meta' line if metadata."""
     out = io.StringIO()
     meta = _meta_line(metadata)
     if meta:
         out.write(meta + "\n")
-    writer = csv.writer(out, lineterminator="\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def report_tables_csv(report, metadata=None):
+    """First-order row plus upper-triangle second-order matrix as CSV text."""
     names = list(report.names)
-    writer.writerow([""] + names)
-    writer.writerow(["first_order"] + [fmt_number(v) for v in report.first_order])
-    writer.writerow([])
-    writer.writerow(["second_order"] + names)
+    rows = [
+        [""] + names,
+        ["first_order"] + [fmt_number(v) for v in report.first_order],
+        [],
+        ["second_order"] + names,
+    ]
     for i, name in enumerate(names):
         row = [name]
         for j in range(len(names)):
             row.append(fmt_number(report.second_order[i, j]) if j > i else "")
-        writer.writerow(row)
-    writer.writerow([])
-    writer.writerow(["combined"] + [fmt_number(v) for v in report.combined])
-    return out.getvalue()
+        rows.append(row)
+    rows += [[], ["combined"] + [fmt_number(v) for v in report.combined]]
+    return table_csv(rows, metadata)
 
 
 def scenario_table_csv(decomposition, input_names, metadata=None):
     """Scenario summary: color, states, min/mean/max and probability."""
-    out = io.StringIO()
-    meta = _meta_line(metadata)
-    if meta:
-        out.write(meta + "\n")
-    writer = csv.writer(out, lineterminator="\n")
     state_cols = [input_names[i] for i in decomposition.selected]
-    writer.writerow(["color", "scenario"] + state_cols + ["min", "mean", "max", "probability"])
+    rows = [["color", "scenario"] + state_cols + ["min", "mean", "max", "probability"]]
     for sc in decomposition.scenarios:
         stats = ["", "", ""] if sc.count == 0 else [
             fmt_number(sc.y_min),
             fmt_number(sc.y_mean),
             fmt_number(sc.y_max),
         ]
-        writer.writerow(
+        rows.append(
             [sc.color, sc.scenario_id] + list(sc.state_labels) + stats + [fmt_number(sc.probability)]
         )
-    return out.getvalue()
+    return table_csv(rows, metadata)
 
 
 @dataclass(frozen=True)

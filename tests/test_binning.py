@@ -10,14 +10,11 @@ from binsa import (
     analyze,
     bin_count_first,
     bin_count_second_per_dim,
-    bin_edges,
     conservation_check,
     default_specs,
     evaluate,
-    first_order_index,
     get_model,
     sample_inputs,
-    second_order_index,
 )
 
 _TABLE = {
@@ -64,20 +61,34 @@ def test_bin_count_second_rule():
         bin_count_second_per_dim(50)
 
 
-def test_bin_edges_equal_width_over_observed_range():
-    col = np.array([2.0, 4.0, 10.0])
-    spec = InputSpec("x", MarginalDistribution.uniform(0, 20))
-    edges = bin_edges(col, spec, 4)
-    assert edges.tolist() == [2.0, 4.0, 6.0, 8.0, 10.0]
-    with pytest.raises(ValueError, match="degenerate"):
-        bin_edges(np.array([3.0, 3.0]), spec, 4)
+def _uniform_dataset(columns, y):
+    specs = tuple(
+        InputSpec(f"x{i + 1}", MarginalDistribution.uniform(0, 1)) for i in range(len(columns))
+    )
+    return Dataset(inputs=np.column_stack(columns), output=y, specs=specs)
+
+
+def test_first_order_exact_with_empty_bin():
+    # 4 equal-width bins over the observed [2, 6], not the spec's [0, 20]:
+    # means 1, 3, (empty), 6 with counts 2, 4, 0, 2; grand mean 3.25 and
+    # occupancy-weighted variance (10.125 + 0.25 + 15.125) / 8 = 3.1875;
+    # the maximum 6.0 lands in the last bin
+    x = np.array([2.0, 2.5, 3.0, 3.25, 3.5, 3.75, 5.5, 6.0])
+    y = np.array([0.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0, 7.0])
+    ds = Dataset(
+        inputs=x[:, None], output=y, specs=(InputSpec("x", MarginalDistribution.uniform(0, 20)),)
+    )
+    rep = analyze(ds, BinningConfig(n_bins_first=4, n_bins_second_per_dim=2))
+    assert rep.var_y == 3.9375
+    assert rep.first_order[0] == 3.1875 / 3.9375
 
 
 def test_first_order_identity_map_is_near_one():
     # y = x explained almost completely by binning x; residual is the
     # within-bin variance of a uniform slice: 1 - 1/nb^2 with equal-width bins
     x = np.linspace(0, 1, 10001)
-    s = first_order_index(x, x, InputSpec("x", MarginalDistribution.uniform(0, 1)), 10)
+    rep = analyze(_uniform_dataset([x], x), BinningConfig(n_bins_first=10, n_bins_second_per_dim=2))
+    s = rep.first_order[0]
     assert s == pytest.approx(1.0 - 1.0 / 100, abs=1e-3)
     assert s >= 0.98
 
@@ -86,23 +97,22 @@ def test_first_order_independent_noise_is_near_zero():
     rng = np.random.default_rng(0)
     x = rng.random(20000)
     y = rng.normal(size=20000)
-    s = first_order_index(x, y, InputSpec("x", MarginalDistribution.uniform(0, 1)), 10)
-    assert abs(s) < 0.01
+    rep = analyze(_uniform_dataset([x], y), BinningConfig(n_bins_first=10, n_bins_second_per_dim=2))
+    assert abs(rep.first_order[0]) < 0.01
 
 
 def test_first_order_rightmost_bin_inclusive():
     # the maximum lands in the last bin, not out of range
     x = np.array([0.0, 0.5, 1.0, 1.0])
     y = np.array([0.0, 1.0, 2.0, 2.0])
-    s = first_order_index(x, y, InputSpec("x", MarginalDistribution.uniform(0, 1)), 2)
-    assert np.isfinite(s)
+    rep = analyze(_uniform_dataset([x], y), BinningConfig(n_bins_first=2, n_bins_second_per_dim=2))
+    assert np.isfinite(rep.first_order[0])
 
 
 def test_first_order_constant_output_raises():
+    ds = _uniform_dataset([np.arange(10.0)], np.ones(10))
     with pytest.raises(ValueError, match="constant output"):
-        first_order_index(
-            np.arange(10.0), np.ones(10), InputSpec("x", MarginalDistribution.uniform(0, 9)), 2
-        )
+        analyze(ds, BinningConfig(n_bins_first=2, n_bins_second_per_dim=2))
 
 
 def test_second_order_pure_interaction():
@@ -110,37 +120,31 @@ def test_second_order_pure_interaction():
     rng = np.random.default_rng(1)
     x1, x2 = rng.random(40000), rng.random(40000)
     y = np.sign(x1 - 0.5) * np.sign(x2 - 0.5)
-    specs = (
-        InputSpec("a", MarginalDistribution.uniform(0, 1)),
-        InputSpec("b", MarginalDistribution.uniform(0, 1)),
+    rep = analyze(
+        _uniform_dataset([x1, x2], y), BinningConfig(n_bins_first=8, n_bins_second_per_dim=8)
     )
-    s12 = second_order_index(x1, x2, y, specs, 8)
-    s1 = first_order_index(x1, y, specs[0], 8)
-    assert abs(s1) < 0.01
-    assert s12 == pytest.approx(1.0, abs=0.02)
+    assert abs(rep.first_order[0]) < 0.01
+    assert rep.second_order[0, 1] == pytest.approx(1.0, abs=0.02)
 
 
 def test_second_order_additive_is_near_zero():
     rng = np.random.default_rng(2)
     x1, x2 = rng.random(40000), rng.random(40000)
-    y = x1 + x2
-    specs = (
-        InputSpec("a", MarginalDistribution.uniform(0, 1)),
-        InputSpec("b", MarginalDistribution.uniform(0, 1)),
+    rep = analyze(
+        _uniform_dataset([x1, x2], x1 + x2), BinningConfig(n_bins_first=8, n_bins_second_per_dim=8)
     )
-    assert abs(second_order_index(x1, x2, y, specs, 8)) < 0.01
+    assert abs(rep.second_order[0, 1]) < 0.01
 
 
 def test_second_order_sparse_grid_warns():
+    # 3 pairs share one 10 x 10 grid over 300 rows: warned and recorded once
     rng = np.random.default_rng(3)
-    x1, x2 = rng.random(300), rng.random(300)
-    y = x1 * x2
-    specs = (
-        InputSpec("a", MarginalDistribution.uniform(0, 1)),
-        InputSpec("b", MarginalDistribution.uniform(0, 1)),
-    )
-    with pytest.warns(UserWarning, match="sparse grid"):
-        second_order_index(x1, x2, y, specs, 10)
+    x1, x2, x3 = rng.random(300), rng.random(300), rng.random(300)
+    ds = _uniform_dataset([x1, x2, x3], x1 * x2 + x3)
+    with pytest.warns(UserWarning, match="sparse grid") as record:
+        rep = analyze(ds, BinningConfig(n_bins_second_per_dim=10))
+    assert [str(w.message) for w in record] == ["sparse grid: m^2 exceeds N/5"]
+    assert rep.warnings == ("sparse grid: m^2 exceeds N/5",)
 
 
 def _toy_dataset(n=5000, seed=0, law="normal", method="QMC"):
@@ -159,6 +163,7 @@ def test_analyze_report_shape_and_bins():
     assert rep.second_order.shape == (6, 6)
     assert np.array_equal(rep.second_order, rep.second_order.T)
     assert np.all(np.diag(rep.second_order) == 0.0)
+    assert rep.warnings == ()
 
 
 def test_analyze_combined_definition():

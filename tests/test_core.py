@@ -11,7 +11,6 @@ from binsa import (
     stable_mean,
     stable_sum,
     stable_variance,
-    weighted_variance,
 )
 
 
@@ -37,28 +36,6 @@ def test_stable_mean_and_variance_hand_case():
 def test_stable_mean_empty_raises():
     with pytest.raises(ValueError):
         stable_mean([])
-
-
-def test_weighted_variance_hand_case():
-    # bins: means 1, 3, 6 with counts 2, 4, 2; grand mean = (2+12+12)/8 = 3.25
-    # V = (2*(1-3.25)^2 + 4*(3-3.25)^2 + 2*(6-3.25)^2) / 8
-    #   = (10.125 + 0.25 + 15.125) / 8 = 3.1875
-    assert weighted_variance([1.0, 3.0, 6.0], [2, 4, 2], 3.25) == 3.1875
-
-
-def test_weighted_variance_ignores_empty_bins():
-    v = weighted_variance([1.0, np.nan, 6.0], [2, 0, 2], 3.5)
-    assert v == (2 * 6.25 + 2 * 6.25) / 4
-
-
-def test_weighted_variance_all_empty_raises():
-    with pytest.raises(ValueError, match="empty binning"):
-        weighted_variance([1.0], [0], 0.0)
-
-
-def test_weighted_variance_rejects_negative_counts():
-    with pytest.raises(ValueError):
-        weighted_variance([1.0, 2.0], [2, -1], 1.5)
 
 
 def test_pearson_exact_on_linear_data():
