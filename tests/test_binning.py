@@ -68,19 +68,20 @@ def _uniform_dataset(columns, y):
     return Dataset(inputs=np.column_stack(columns), output=y, specs=specs)
 
 
-def test_first_order_exact_with_empty_bin():
-    # 4 equal-width bins over the observed [2, 6], not the spec's [0, 20]:
-    # means 1, 3, (empty), 6 with counts 2, 4, 0, 2; grand mean 3.25 and
-    # occupancy-weighted variance (10.125 + 0.25 + 15.125) / 8 = 3.1875;
-    # the maximum 6.0 lands in the last bin
-    x = np.array([2.0, 2.5, 3.0, 3.25, 3.5, 3.75, 5.5, 6.0])
-    y = np.array([0.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0, 7.0])
-    ds = Dataset(
-        inputs=x[:, None], output=y, specs=(InputSpec("x", MarginalDistribution.uniform(0, 20)),)
-    )
+def test_bin_edges_equal_width_over_observed_range():
+    # 4 bins over the observed [2, 10], not the spec's [0, 20]: edges 2, 4, 6,
+    # 8, 10, left-closed and rightmost inclusive. y is constant on each of
+    # those bins, so the index is exactly 1 only with these edges
+    spec = InputSpec("x", MarginalDistribution.uniform(0, 20))
+    x = np.array([2.0, 3.9, 4.0, 6.0, 8.0, 10.0])
+    y = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 3.0])
+    ds = Dataset(inputs=x[:, None], output=y, specs=(spec,))
     rep = analyze(ds, BinningConfig(n_bins_first=4, n_bins_second_per_dim=2))
-    assert rep.var_y == 3.9375
-    assert rep.first_order[0] == 3.1875 / 3.9375
+    assert rep.first_order[0] == 1.0
+    const = Dataset(inputs=np.full((2, 1), 3.0), output=np.array([0.0, 1.0]), specs=(spec,))
+    with pytest.warns(UserWarning, match="degenerate"):
+        rep = analyze(const, BinningConfig(n_bins_first=4, n_bins_second_per_dim=2))
+    assert rep.first_order[0] == 0.0
 
 
 def test_first_order_identity_map_is_near_one():

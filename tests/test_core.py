@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from binsa import (
+    BinningConfig,
     Dataset,
     InputSpec,
     MarginalDistribution,
     SensitivityReport,
+    analyze,
     pearson,
     spearman,
     stable_mean,
@@ -36,6 +38,33 @@ def test_stable_mean_and_variance_hand_case():
 def test_stable_mean_empty_raises():
     with pytest.raises(ValueError):
         stable_mean([])
+
+
+def _one_input_first_order(x, y, n_bins):
+    spec = InputSpec("x", MarginalDistribution.uniform(0, 20))
+    ds = Dataset(inputs=np.asarray(x)[:, None], output=np.asarray(y), specs=(spec,))
+    rep = analyze(ds, BinningConfig(n_bins_first=n_bins, n_bins_second_per_dim=2))
+    return rep.first_order[0], rep.var_y
+
+
+def test_weighted_variance_hand_case():
+    # analyze's occupancy-weighted variance of bin means. 4 equal-width bins
+    # over the observed [2, 6]: means 1, 3, (empty), 6 with counts 2, 4, 0, 2;
+    # grand mean = (2+12+12)/8 = 3.25
+    # V = (2*(1-3.25)^2 + 4*(3-3.25)^2 + 2*(6-3.25)^2) / 8
+    #   = (10.125 + 0.25 + 15.125) / 8 = 3.1875
+    s, var_y = _one_input_first_order(
+        [2.0, 2.5, 3.0, 3.25, 3.5, 3.75, 5.5, 6.0], [0.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0, 7.0], 4
+    )
+    assert var_y == 3.9375
+    assert s == 3.1875 / 3.9375
+
+
+def test_weighted_variance_ignores_empty_bins():
+    # 3 bins over [0, 3]: means 1, (empty), 6 with counts 2, 0, 2; grand mean 3.5
+    s, var_y = _one_input_first_order([0.0, 0.5, 2.5, 3.0], [0.0, 2.0, 5.0, 7.0], 3)
+    assert var_y == 7.25
+    assert s == (2 * 6.25 + 2 * 6.25) / 4 / 7.25
 
 
 def test_pearson_exact_on_linear_data():
