@@ -16,6 +16,7 @@ from binsa import (
     get_model,
     sample_inputs,
 )
+from test_golden import CASES
 
 _TABLE = {
     (1000, 3): 10, (1000, 6): 10, (1000, 12): 10,
@@ -203,6 +204,18 @@ def test_row_permutation_bitwise_invariance():
     perm = np.random.default_rng(7).permutation(ds.n_rows)
     ds2 = Dataset(inputs=ds.inputs[perm], output=ds.output[perm], specs=ds.specs)
     rep2 = analyze(ds2)
+    assert np.array_equal(rep.first_order, rep2.first_order)
+    assert np.array_equal(rep.second_order, rep2.second_order)
+    assert np.array_equal(rep.combined, rep2.combined)
+
+
+def test_row_permutation_bitwise_invariance_with_tied_output():
+    # 20 distinct outputs over 3000 rows: a permutation reorders tied rows,
+    # which must not change any cell's sum
+    ds, _ = CASES["tied_output"]()
+    rep = analyze(ds)
+    perm = np.random.default_rng(13).permutation(ds.n_rows)
+    rep2 = analyze(Dataset(inputs=ds.inputs[perm], output=ds.output[perm], specs=ds.specs))
     assert np.array_equal(rep.first_order, rep2.first_order)
     assert np.array_equal(rep.second_order, rep2.second_order)
     assert np.array_equal(rep.combined, rep2.combined)

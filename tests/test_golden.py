@@ -56,12 +56,33 @@ def _explicit_bins():
     return Dataset(inputs=x, output=y, specs=_uniform_specs(4)), config
 
 
+def _tied_output():
+    # 20 distinct output values, so most rows share their y with many others,
+    # and a categorical x categorical pair binned on 4 x 3 level cells. The
+    # values are not dyadic, so a cell's sum depends on its summation order
+    rng = np.random.default_rng(106)
+    c1 = rng.integers(0, 4, size=3000).astype(float)
+    c2 = rng.integers(0, 3, size=3000).astype(float)
+    u = rng.random((3000, 2))
+    raw = c1 * c2 + 2.0 * u[:, 0] + c1 * u[:, 1]
+    t = np.floor(raw * (20.0 / 11.0))
+    y = 0.3 * t + 0.01 * t * t
+    specs = (
+        InputSpec("c1", MarginalDistribution.categorical(("a", "b", "c", "d"), (0.25,) * 4)),
+        InputSpec("c2", MarginalDistribution.categorical(("lo", "mid", "hi"), (0.5, 0.25, 0.25))),
+        InputSpec("u1", MarginalDistribution.uniform(0, 1)),
+        InputSpec("u2", MarginalDistribution.uniform(0, 1)),
+    )
+    return Dataset(inputs=np.column_stack([c1, c2, u]), output=y, specs=specs), None
+
+
 CASES = {
     "interaction_3": _interaction_3,
     "categorical_uniform": _categorical_uniform,
     "degenerate_column": _degenerate_column,
     "additive_12": _additive_12,
     "explicit_bins": _explicit_bins,
+    "tied_output": _tied_output,
 }
 
 # first_order, then the upper triangle of second_order in row-major order
@@ -132,6 +153,16 @@ GOLDEN = {
         "second_order": [
             "0x1.976905b4a598ap-6", "0x1.50ce8a2299080p-8", "0x1.b31ed908e3e50p-7",
             "0x1.4d0db088cdf80p-8", "0x1.a0b81a9e148c0p-7", "0x1.c7db8c5a348a4p-5",
+        ],
+    },
+    "tied_output": {
+        "first_order": [
+            "0x1.cd23d2436d53fp-2", "0x1.21396bd036bbap-2", "0x1.cad433d487ee2p-5",
+            "0x1.42cb2731be231p-5",
+        ],
+        "second_order": [
+            "0x1.44e3ccb8a57cap-3", "0x1.dd377a43fb754p-7", "0x1.4b3cf75075ee6p-6",
+            "-0x1.78f7df8e2bfd8p-8", "0x1.49f923a7e8f98p-8", "0x1.479b288b96070p-7",
         ],
     },
 }
