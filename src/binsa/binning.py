@@ -4,6 +4,7 @@ output variance."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -89,18 +90,19 @@ def bin_count_second_per_dim(n_obs):
     return max(2, round(math.sqrt(n_obs / _PAIR_CELL_OCCUPANCY)))
 
 
-def _cell_indices(column, spec, resolutions):
-    """Bin index per row at each bin count in resolutions: equal-width over
-    the observed [min, max], rightmost inclusive. Categorical columns bin by
-    level code at every resolution."""
+def _cell_indices(column, order, spec, resolutions):
+    """Bin index per row, rows taken in the given order, at each bin count in
+    resolutions: equal-width over the observed [min, max], rightmost
+    inclusive. Categorical columns bin by level code at every resolution."""
     if spec.distribution.kind == "categorical":
-        codes = column.astype(np.int64)
+        codes = column[order].astype(np.int64)
         return [(codes, len(spec.distribution.levels))] * len(resolutions)
     lo = column.min()
     hi = column.max()
     if lo == hi:
         raise ValueError("degenerate input")
-    offset = column - lo
+    offset = column[order]  # a fresh copy, so it is shifted in place
+    offset -= lo
     cells = []
     for n_bins in resolutions:
         idx = np.floor(offset * (n_bins / (hi - lo))).astype(np.int64)
@@ -110,12 +112,15 @@ def _cell_indices(column, spec, resolutions):
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
-    """V_w(E[Y | cell]) / Var(Y) with order-canonical accumulation."""
-    order = np.lexsort((y, cell_idx))
-    ci = cell_idx[order]
-    ys = y[order]
-    counts = np.bincount(ci, minlength=n_cells)
-    sums = np.bincount(ci, weights=ys, minlength=n_cells)
+    """V_w(E[Y | cell]) / Var(Y).
+
+    The rows arrive sorted by y (stably, so ties keep their original row
+    order), and bincount adds them in array order: each cell's sum is built
+    in ascending-y order, which makes it independent of how the dataset's
+    rows were ordered.
+    """
+    counts = np.bincount(cell_idx, minlength=n_cells)
+    sums = np.bincount(cell_idx, weights=y, minlength=n_cells)
     occ = counts > 0
     means = sums[occ] / counts[occ]
     n_occ = counts[occ].astype(float)
@@ -131,30 +136,45 @@ def analyze(dataset, config=None):
     First-order indices use the table-interpolated bin count; every pair gets
     a second-order index on an m x m grid, with both marginal terms
     recomputed at m bins so the joint and marginal conditional variances
-    share one bin geometry. Constant input columns are assigned index 0
-    instead of failing the analysis, and a grid with fewer than 5 rows per
-    cell on average (m^2 > N/5) is kept; each case is recorded in
+    share one bin geometry; a categorical input bins by level at both
+    resolutions. Constant input columns are assigned index 0 instead of
+    failing the analysis, and a pair grid with fewer than 5 rows per cell on
+    average is kept: one note covers every numeric pair when m^2 > N/5, and
+    each pair with a categorical input whose n_cells_i x n_cells_j exceeds
+    N/5 is named in a note of its own. Each note is recorded in
     report.warnings and emitted as a UserWarning.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
-    y = dataset.output
-    var_y = stable_variance(y)
+    var_y = stable_variance(dataset.output)
     if var_y == 0.0:
         raise ValueError("constant output")
     nb = config.n_bins_first or bin_count_first(n, k)
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
-    notes = []
-    if k > 1 and m * m > n / 5:
-        notes.append("sparse grid: m^2 exceeds N/5")
+    order = np.argsort(dataset.output, kind="stable")
     cells_first = {}
     cells_pair = {}
+    degenerate = []
     for i, spec in enumerate(dataset.specs):
         try:
-            cells_first[i], cells_pair[i] = _cell_indices(dataset.column(i), spec, (nb, m))
+            cells_first[i], cells_pair[i] = _cell_indices(dataset.column(i), order, spec, (nb, m))
         except ValueError:
-            notes.append(f"degenerate input column {dataset.names[i]!r}: indices set to 0")
+            degenerate.append(f"degenerate input column {dataset.names[i]!r}: indices set to 0")
+    y = dataset.output[order]
+    pairs = list(itertools.combinations(cells_pair, 2))
+
+    sparse = [(i, j) for i, j in pairs if cells_pair[i][1] * cells_pair[j][1] > n / 5]
+    categorical = [s.distribution.kind == "categorical" for s in dataset.specs]
+    notes = []
+    if any(not (categorical[i] or categorical[j]) for i, j in sparse):
+        notes.append("sparse grid: m^2 exceeds N/5")
+    for i, j in sparse:
+        if categorical[i] or categorical[j]:
+            a, b = dataset.names[i], dataset.names[j]
+            ni, nj = cells_pair[i][1], cells_pair[j][1]
+            notes.append(f"sparse grid: pair ({a!r}, {b!r}) has {ni} x {nj} cells, more than N/5")
+    notes += degenerate
     for note in notes:
         warnings.warn(note, stacklevel=2)
 
@@ -164,13 +184,10 @@ def analyze(dataset, config=None):
 
     second = np.zeros((k, k))
     marg = {i: _conditional_variance_ratio(ci, nc, y, var_y) for i, (ci, nc) in cells_pair.items()}
-    for i in range(k):
-        for j in range(i + 1, k):
-            if i not in cells_pair or j not in cells_pair:
-                continue
-            (ci, ni), (cj, nj) = cells_pair[i], cells_pair[j]
-            joint = _conditional_variance_ratio(ci * nj + cj, ni * nj, y, var_y)
-            second[i, j] = second[j, i] = joint - marg[i] - marg[j]
+    for i, j in pairs:
+        (ci, ni), (cj, nj) = cells_pair[i], cells_pair[j]
+        joint = _conditional_variance_ratio(ci * nj + cj, ni * nj, y, var_y)
+        second[i, j] = second[j, i] = joint - marg[i] - marg[j]
 
     combined = first + 0.5 * second.sum(axis=1)
     return SensitivityReport(

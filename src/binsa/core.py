@@ -86,8 +86,9 @@ class InputSpec:
 class Dataset:
     """An N x K input matrix plus the length-N output vector it produced.
 
-    Categorical columns are stored as level indices. This is the sole input
-    to every estimator in the package.
+    Categorical columns are stored as level indices: integers in
+    [0, len(levels)), checked on construction. This is the sole input to
+    every estimator in the package.
     """
 
     inputs: np.ndarray
@@ -112,6 +113,17 @@ class Dataset:
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
             raise ValueError("input names must be unique")
+        for j, spec in enumerate(self.specs):
+            if spec.distribution.kind == "categorical":
+                col = inputs[:, j]
+                n_levels = len(spec.distribution.levels)
+                bad = np.flatnonzero((col != np.floor(col)) | (col < 0) | (col >= n_levels))
+                if bad.size:
+                    r = int(bad[0])
+                    raise ValueError(
+                        f"categorical column {spec.name!r}, row {r}: {float(col[r])!r} "
+                        f"is not a level code in 0..{n_levels - 1}"
+                    )
         inputs.flags.writeable = False
         output.flags.writeable = False
         object.__setattr__(self, "inputs", inputs)

@@ -253,6 +253,13 @@ def load_config(path, overrides=None):
     return config_from_dict(raw, overrides)
 
 
+def _bin_count(value, key):
+    """A bin count as set in a config or flag: None (automatic) or an int >= 2."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 2):
+        raise UserInputError(f"{key} must be an integer >= 2, got {value!r}")
+    return value
+
+
 def config_from_dict(raw, overrides=None):
     overrides = overrides or {}
     model = raw.get("model")
@@ -272,8 +279,10 @@ def config_from_dict(raw, overrides=None):
         sampling_raw["n"] = overrides["n"]
     if overrides.get("sampler") is not None:
         sampling_raw["method"] = overrides["sampler"].upper()
+    first_key = "binning.n_bins_first"
     if overrides.get("bins") is not None:
         binning_raw["n_bins_first"] = overrides["bins"]
+        first_key = "--bins"
     out_dir = overrides.get("out") or raw.get("out", ".")
     try:
         plan = SamplingPlan(
@@ -290,8 +299,10 @@ def config_from_dict(raw, overrides=None):
             dataset_path=raw.get("dataset"),
             sampling=plan,
             dependence=dependence,
-            n_bins_first=binning_raw.get("n_bins_first"),
-            n_bins_second_per_dim=binning_raw.get("n_bins_second_per_dim"),
+            n_bins_first=_bin_count(binning_raw.get("n_bins_first"), first_key),
+            n_bins_second_per_dim=_bin_count(
+                binning_raw.get("n_bins_second_per_dim"), "binning.n_bins_second_per_dim"
+            ),
             simdec_max_inputs=int(simdec_raw.get("max_inputs", 3)),
             simdec_cum_threshold=float(simdec_raw.get("cum_threshold", 0.8)),
             n_output_bins=int(simdec_raw.get("n_output_bins", 100)),

@@ -149,6 +149,55 @@ def test_second_order_sparse_grid_warns():
     assert rep.warnings == ("sparse grid: m^2 exceeds N/5",)
 
 
+def test_sparse_grid_warns_for_categorical_pair():
+    # two 12-level columns over 300 rows: 144 level cells, about 2 rows each,
+    # while the automatic m = 2 keeps m^2 far below N/5 = 60
+    rng = np.random.default_rng(14)
+    a = rng.integers(0, 12, size=300).astype(float)
+    b = rng.integers(0, 12, size=300).astype(float)
+    levels = tuple(f"l{i}" for i in range(12))
+    specs = tuple(
+        InputSpec(name, MarginalDistribution.categorical(levels, (1 / 12,) * 12))
+        for name in ("a", "b")
+    )
+    ds = Dataset(inputs=np.column_stack([a, b]), output=a + b + rng.random(300), specs=specs)
+    note = "sparse grid: pair ('a', 'b') has 12 x 12 cells, more than N/5"
+    with pytest.warns(UserWarning, match="sparse grid") as record:
+        rep = analyze(ds)
+    assert rep.n_bins_second_per_dim == 2
+    assert [str(w.message) for w in record] == [note]
+    assert rep.warnings == (note,)
+
+
+def test_sparse_grid_notes_numeric_pairs_once_and_names_categorical_pairs():
+    # m = 10 over 300 rows: the numeric pair gets the single m^2 note, the
+    # pairs with the 3-level column (30 cells) stay quiet, and the pairs with
+    # the 12-level column (120 cells, 36 with the 3-level one) are named
+    rng = np.random.default_rng(15)
+    u1, u2 = rng.random(300), rng.random(300)
+    c3 = rng.integers(0, 3, size=300).astype(float)
+    c12 = rng.integers(0, 12, size=300).astype(float)
+    specs = (
+        InputSpec("u1", MarginalDistribution.uniform(0, 1)),
+        InputSpec("u2", MarginalDistribution.uniform(0, 1)),
+        InputSpec("c3", MarginalDistribution.categorical(("x", "y", "z"), (1 / 3,) * 3)),
+        InputSpec(
+            "c12",
+            MarginalDistribution.categorical(tuple(f"l{i}" for i in range(12)), (1 / 12,) * 12),
+        ),
+    )
+    ds = Dataset(
+        inputs=np.column_stack([u1, u2, c3, c12]), output=u1 * u2 + c3 + c12, specs=specs
+    )
+    with pytest.warns(UserWarning, match="sparse grid"):
+        rep = analyze(ds, BinningConfig(n_bins_second_per_dim=10))
+    assert rep.warnings == (
+        "sparse grid: m^2 exceeds N/5",
+        "sparse grid: pair ('u1', 'c12') has 10 x 12 cells, more than N/5",
+        "sparse grid: pair ('u2', 'c12') has 10 x 12 cells, more than N/5",
+    )
+
+
 def _toy_dataset(n=5000, seed=0, law="normal", method="QMC"):
     m = get_model("toy_portfolio")
     specs = default_specs(m, law=law)

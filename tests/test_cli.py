@@ -200,6 +200,21 @@ def test_config_file_drives_analysis(tmp_path, capsys):
     assert meta["seed"] == 7 and meta["n"] == 1500
 
 
+def test_bin_count_below_two_is_exit_2(tmp_path, capsys):
+    code, _, err = run(
+        ["analyze", "--model", "ishigami", "--n", "1000", "--bins", "1", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 2
+    assert "--bins must be an integer >= 2, got 1" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "ishigami", "binning": {"n_bins_second_per_dim": 1}}))
+    code, _, err = run(["analyze", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "binning.n_bins_second_per_dim must be an integer >= 2, got 1" in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_too_small_n_is_exit_2(capsys, tmp_path):
     code, _, err = run(
         ["analyze", "--model", "ishigami", "--n", "50", "--out", str(tmp_path)], capsys

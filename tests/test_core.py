@@ -132,6 +132,25 @@ def test_dataset_validation():
         Dataset(inputs=bad, output=y, specs=_specs(2))
 
 
+def _categorical_dataset(codes):
+    specs = (InputSpec("c", MarginalDistribution.categorical(("a", "b", "c"), (0.5, 0.3, 0.2))),)
+    codes = np.asarray(codes, dtype=float)
+    return Dataset(inputs=codes[:, None], output=np.arange(codes.size, dtype=float), specs=specs)
+
+
+def test_dataset_rejects_non_integer_categorical_code():
+    assert _categorical_dataset([0, 2, 1, 2]).n_rows == 4
+    with pytest.raises(ValueError, match=r"column 'c', row 2: 1\.7 is not a level code in 0\.\.2"):
+        _categorical_dataset([0, 1, 1.7, 2])
+
+
+def test_dataset_rejects_out_of_range_categorical_code():
+    with pytest.raises(ValueError, match=r"column 'c', row 3: 5\.0 is not a level code"):
+        _categorical_dataset([0, 1, 2, 5.0, 7.0])
+    with pytest.raises(ValueError, match=r"column 'c', row 0: -1\.0 is not a level code"):
+        _categorical_dataset([-1, 1, 2])
+
+
 def test_dataset_arrays_are_read_only():
     x = np.random.default_rng(0).random((5, 2))
     ds = Dataset(inputs=x, output=x.sum(axis=1), specs=_specs(2))
