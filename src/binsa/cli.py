@@ -49,8 +49,16 @@ def _metadata(config, extra=None):
     return meta
 
 
+def _model(name, params):
+    """get_model, with an unknown name or bad parameter as a user-input error."""
+    try:
+        return get_model(name, **params)
+    except ValueError as exc:
+        raise UserInputError(str(exc)) from None
+
+
 def _build_dataset(config):
-    model = get_model(config.model, **config.model_params)
+    model = _model(config.model, config.model_params)
     specs = default_specs(model, law=config.law)
     matrix = sample_inputs(config.sampling, specs, dependence=config.dependence)
     output = evaluate(model, matrix)
@@ -205,7 +213,7 @@ def cmd_sweep_dependence(config):
         ]
     ]
     for model_name in models:
-        model = get_model(model_name)
+        model = _model(model_name, config.model_params)
         specs = default_specs(model)
         for kind in ("copula", "equal_portion"):
             for value in config.sweep_grid:

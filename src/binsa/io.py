@@ -10,6 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+_ROWS_PER_WRITE = 10_000
 
 
 class UserInputError(ValueError):
@@ -51,25 +55,60 @@ def _meta_line(metadata):
 
 def write_dataset_csv(path, dataset, metadata=None):
     """Write inputs plus a final 'output' column; categorical columns are
-    written as level labels."""
+    written as level labels.
+
+    Numbers are written as repr(float), fmt_number's shortest round-trip
+    form. Cells are formatted a column at a time, in blocks of
+    _ROWS_PER_WRITE rows, so that only one block's strings are held at once.
+    """
+    levels = [
+        s.distribution.levels if s.distribution.kind == "categorical" else None
+        for s in dataset.specs
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         meta = _meta_line(metadata)
         if meta:
             fh.write(meta + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(list(dataset.names) + ["output"])
-        cats = {
-            j: s.distribution.levels
-            for j, s in enumerate(dataset.specs)
-            if s.distribution.kind == "categorical"
-        }
-        for r in range(dataset.n_rows):
-            row = []
-            for j in range(dataset.n_inputs):
-                v = dataset.inputs[r, j]
-                row.append(cats[j][int(v)] if j in cats else fmt_number(v))
-            row.append(fmt_number(dataset.output[r]))
-            writer.writerow(row)
+        for start in range(0, dataset.n_rows, _ROWS_PER_WRITE):
+            block = slice(start, start + _ROWS_PER_WRITE)
+            cols = []
+            for j, lv in enumerate(levels):
+                values = dataset.inputs[block, j]
+                if lv is None:
+                    cols.append(list(map(repr, values.tolist())))
+                else:
+                    cols.append([lv[c] for c in values.astype(np.int64).tolist()])
+            cols.append(list(map(repr, dataset.output[block].tolist())))
+            writer.writerows(zip(*cols))
+
+
+# Whitespace that np.loadtxt strips around a number and float() does not.
+_LOADTXT_ONLY_SPACE = re.compile("[\x1c-\x1f]")
+
+
+def _bulk_rows(lines, n_cols):
+    """Parse data lines of plain numbers with np.loadtxt, or return None.
+
+    np.loadtxt accepts a subset of what _checked_rows accepts, with the same
+    values, except for the padding characters in _LOADTXT_ONLY_SPACE. None
+    (use _checked_rows) for those, for anything loadtxt rejects or warns
+    about (a file with no data rows), for fewer than 2 rows, a wrong column
+    count or a non-finite value: _checked_rows alone decides what is
+    accepted and words every error.
+    """
+    if _LOADTXT_ONLY_SPACE.search("".join(lines)):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+    if data.shape[0] < 2 or data.shape[1] != n_cols or not np.all(np.isfinite(data)):
+        return None
+    return data
 
 
 def read_dataset_csv(path, specs=None):
@@ -78,9 +117,12 @@ def read_dataset_csv(path, specs=None):
     Without specs, every input column is treated as uniform over its observed
     range (binning only needs the values themselves).
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(io.StringIO("".join(lines)))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UserInputError(f"cannot read dataset {path}: {exc}") from None
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -95,6 +137,24 @@ def read_dataset_csv(path, specs=None):
         for j, s in enumerate(specs):
             if s.distribution.kind == "categorical":
                 level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
+    data = None if level_maps else _bulk_rows(lines[reader.line_num:], len(header))
+    if data is None:
+        data = _checked_rows(path, reader, header, level_maps)
+    inputs, output = data[:, :-1], data[:, -1]
+    if specs is None:
+        specs = []
+        for j, name in enumerate(names):
+            lo, hi = float(inputs[:, j].min()), float(inputs[:, j].max())
+            if lo == hi:
+                hi = lo + 1.0
+            specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
+        specs = tuple(specs)
+    return Dataset(inputs=inputs, output=output, specs=specs)
+
+
+def _checked_rows(path, reader, header, level_maps):
+    """The data rows as a float matrix, each cell checked: the definition of
+    what read_dataset_csv accepts. Errors name the row and column."""
     rows = []
     for r, row in enumerate(reader, start=2):
         if not row:
@@ -111,25 +171,20 @@ def read_dataset_csv(path, specs=None):
                 vals.append(level_maps[c][cell])
                 continue
             try:
-                vals.append(float(cell))
+                v = float(cell)
             except ValueError:
                 raise UserInputError(
                     f"{path}: row {r}, column {header[c]!r}: non-numeric cell {cell!r}"
                 ) from None
+            if not math.isfinite(v):
+                raise UserInputError(
+                    f"{path}: row {r}, column {header[c]!r}: non-finite cell {cell!r}"
+                )
+            vals.append(v)
         rows.append(vals)
     if len(rows) < 2:
         raise UserInputError(f"{path}: need at least 2 data rows")
-    data = np.asarray(rows, dtype=float)
-    inputs, output = data[:, :-1], data[:, -1]
-    if specs is None:
-        specs = []
-        for j, name in enumerate(names):
-            lo, hi = float(inputs[:, j].min()), float(inputs[:, j].max())
-            if lo == hi:
-                hi = lo + 1.0
-            specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
-        specs = tuple(specs)
-    return Dataset(inputs=inputs, output=output, specs=specs)
+    return np.asarray(rows, dtype=float)
 
 
 def report_to_dict(report, metadata=None):

@@ -1,5 +1,9 @@
 """Input-matrix generation: random, scrambled Sobol' and full factorial designs,
-marginal transforms, and pairwise dependence injection."""
+marginal transforms, and pairwise dependence injection.
+
+scipy is imported inside the functions that need it, so that `import binsa`
+and the commands that only read a dataset do not pay for loading it.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import qmc
 
 from .core import InputSpec
 
@@ -83,6 +85,8 @@ def sobol_points(dim, n, scramble=False, seed=0):
         raise ValueError(f"sobol dimension must be in [1, {MAX_SOBOL_DIM}]")
     if n < 1:
         raise ValueError("n must be >= 1")
+    from scipy.stats import qmc
+
     engine = qmc.Sobol(d=dim, scramble=scramble, seed=seed)
     with warnings.catch_warnings():
         # non power-of-two draws are intentional (budget-matched designs)
@@ -121,6 +125,8 @@ def _ppf(dist, u):
     if dist.kind == "uniform":
         return dist.lo + u * (dist.hi - dist.lo)
     if dist.kind == "normal":
+        from scipy.special import ndtri
+
         with np.errstate(divide="ignore"):
             z = ndtri(u)
         z = np.clip(z, -_NORMAL_CLAMP, _NORMAL_CLAMP)
@@ -161,6 +167,8 @@ def apply_dependence(matrix, specs, plan, seed=0):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     if plan.kind == "copula":
+        from scipy.special import ndtr, ndtri
+
         ua = (a - dist_a.lo) / (dist_a.hi - dist_a.lo)
         za = ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16))
         eps = rng.standard_normal(n)

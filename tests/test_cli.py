@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import binsa
 from binsa.cli import main
 
 
@@ -139,7 +143,8 @@ def test_missing_input_is_exit_2(capsys):
 
 def test_bad_dataset_path_is_exit_2(capsys):
     code, _, err = run(["analyze", "/nonexistent/file.csv"], capsys)
-    assert code in (1, 2)
+    assert code == 2
+    assert "/nonexistent/file.csv" in err
 
 
 def test_malformed_csv_is_exit_2_with_location(tmp_path, capsys):
@@ -163,8 +168,36 @@ def test_json_errors_flag(tmp_path, capsys):
 
 def test_unknown_model_is_exit_2_class_error(capsys):
     code, _, err = run(["sample", "--model", "not_a_model", "--out", "/tmp"], capsys)
-    assert code in (1, 2)
+    assert code == 2
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize("cell", ["1e400", "nan"])
+def test_non_finite_cell_is_exit_2_with_location(tmp_path, capsys, cell):
+    p = tmp_path / "bad.csv"
+    rows = ["a,b,output"] + [f"{i},{i},{2 * i}" for i in range(1, 200)]
+    rows[40] = f"40,{cell},80"
+    p.write_text("\n".join(rows) + "\n")
+    code, _, err = run(["analyze", str(p), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"row 41, column 'b': non-finite cell '{cell}'" in err
+
+
+def test_model_parameters_are_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"name": "two_factor_additive", "scale": 2}}))
+    for command in ("sample", "sweep-dependence"):
+        code, _, err = run([command, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "takes no parameters" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = "import binsa.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_compare_rejects_dependence_config(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from binsa import (
     BinningConfig,
@@ -14,6 +15,7 @@ from binsa import (
     stable_sum,
     stable_variance,
 )
+from binsa.core import _mid_ranks
 
 
 def test_stable_sum_matches_exact_value():
@@ -27,6 +29,28 @@ def test_stable_sum_is_permutation_invariant_bitwise():
     s2 = stable_sum(v[::-1].copy())
     s3 = stable_sum(rng.permutation(v))
     assert s1 == s2 == s3
+
+
+def _tied_signed_zero_vector(rng, n):
+    """n floats from a few distinct values, a third of them +0.0 or -0.0."""
+    v = rng.choice(np.array([-2.5, -1e-300, 0.1, 3.0, 1e16]), size=n)
+    zeros = rng.random(n) < 1 / 3
+    v[zeros] = np.where(rng.random(n) < 0.5, 0.0, -0.0)[zeros]
+    return v
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 127, 128, 129, 100_000])
+def test_stable_sum_matches_stable_sort_bitwise(n):
+    rng = np.random.default_rng(n)
+    cases = [
+        _tied_signed_zero_vector(rng, n),
+        rng.normal(size=n).round(1),
+        np.where(rng.random(n) < 0.5, 0.0, -0.0),
+        np.full(n, -0.0),
+    ]
+    for v in cases:
+        expected = float(np.sum(np.sort(v, kind="stable")))
+        assert np.float64(stable_sum(v)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_stable_mean_and_variance_hand_case():
@@ -94,6 +118,23 @@ def test_spearman_on_monotone_nonlinear_data():
 
 def test_spearman_ties_use_mid_ranks():
     assert spearman([1, 1, 2, 2], [1, 1, 2, 2]) == pytest.approx(1.0)
+
+
+def test_mid_ranks_equal_scipy_rankdata_bitwise():
+    rng = np.random.default_rng(11)
+    cases = [
+        rng.normal(size=1000),
+        rng.integers(0, 20, size=1000).astype(float),
+        _tied_signed_zero_vector(rng, 1000),
+        np.array([0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+        np.full(50, 4.0),
+        np.array([3.0]),
+        np.array([2.0, np.nan, 1.0, 2.0]),
+    ]
+    for _ in range(50):
+        cases.append(rng.integers(0, rng.integers(1, 50), size=rng.integers(2, 500)) * 0.1)
+    for v in cases:
+        assert _mid_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
 
 
 def test_marginal_constructors_validate():

@@ -1,7 +1,12 @@
+import csv
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+
+import binsa.io
 
 from binsa import (
     Dataset,
@@ -58,6 +63,30 @@ def test_dataset_csv_second_write_is_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_dataset_csv_matches_cell_by_cell_reference(tmp_path):
+    # more rows than one write block, with a categorical column
+    n = 2 * binsa.io._ROWS_PER_WRITE + 1
+    rng = np.random.default_rng(5)
+    specs = (
+        InputSpec("u", MarginalDistribution.uniform(0, 1)),
+        InputSpec("c", MarginalDistribution.categorical(("lo", "a,b"), (0.5, 0.5))),
+    )
+    scale = 10.0 ** rng.integers(-5, 5, n)
+    inputs = np.column_stack([rng.normal(size=n) * scale, rng.integers(0, 2, n)])
+    ds = Dataset(inputs=inputs, output=rng.normal(size=n), specs=specs)
+    p = tmp_path / "d.csv"
+    write_dataset_csv(p, ds, metadata={"seed": 5})
+    ref = io.StringIO()
+    ref.write('# meta {"seed": 5}\n')
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["u", "c", "output"])
+    for r in range(n):
+        u, c = ds.inputs[r]
+        label = specs[1].distribution.levels[int(c)]
+        writer.writerow([fmt_number(u), label, fmt_number(ds.output[r])])
+    assert p.read_text(encoding="utf-8") == ref.getvalue()
+
+
 def test_read_csv_without_specs_infers_uniform(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,output\n1,10,11\n2,20,22\n3,30,33\n")
@@ -100,6 +129,107 @@ def test_read_csv_empty_and_tiny_rejected(tmp_path):
     p.write_text("a,output\n1,2\n")
     with pytest.raises(UserInputError, match="at least 2 data rows"):
         read_dataset_csv(p)
+
+
+def _read_both_ways(path, monkeypatch):
+    """(dataset through read_dataset_csv, whether the bulk parser produced
+    it, dataset with the bulk parser switched off)."""
+    bulk_rows = binsa.io._bulk_rows
+    results = []
+
+    def spy(lines, n_cols):
+        results.append(bulk_rows(lines, n_cols))
+        return results[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(binsa.io, "_bulk_rows", spy)
+        fast = read_dataset_csv(path)
+    with monkeypatch.context() as m:
+        m.setattr(binsa.io, "_bulk_rows", lambda lines, n_cols: None)
+        loop = read_dataset_csv(path)
+    return fast, results[0] is not None, loop
+
+
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        ("a,b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,8\n", True),
+        ("a,b,output\n1.5,-2,0.25\n\n3,4e-3,5\n\n\n-0.0,7,8\n\n", True),
+        ("a,b,output\r\n1.5,-2,0.25\r\n3,4e-3,5\r\n-0.0,7,8", True),
+        ("a,b,output\n 1.5 ,\t-2,0.25  \n3,4e-3 ,5\n-0.0, 7,8\n", True),
+        ('# meta {}\na,b,output\n1.5,-2,0.25\n# note\n3,4e-3,5\n#\n-0.0,7,8\n', True),
+        ('a,b,output\n"1.5",-2,0.25\n3,4e-3,5\n-0.0,7,8\n', False),
+        ("a,b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,1_0\n", False),
+        ('"a\nx",b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,8\n', True),
+    ],
+    ids=["plain", "blank-lines", "crlf", "padded", "comment-lines", "quoted", "underscore",
+         "two-line-header"],
+)
+def test_bulk_and_checked_reads_agree_bitwise(tmp_path, monkeypatch, text, bulk):
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    fast, used_bulk, loop = _read_both_ways(p, monkeypatch)
+    assert used_bulk == bulk
+    assert fast.specs == loop.specs
+    assert fast.inputs.tobytes() == loop.inputs.tobytes()
+    assert fast.output.tobytes() == loop.output.tobytes()
+
+
+def test_bulk_read_keeps_the_checked_reader_errors(tmp_path):
+    # np.loadtxt strips \x1c-\x1f around a number, float() does not
+    p = tmp_path / "d.csv"
+    p.write_text("a,output\n1,2\n3\x1c,4\n")
+    with pytest.raises(UserInputError, match=r"row 3, column 'a': non-numeric cell '3\\x1c'"):
+        read_dataset_csv(p)
+    p.write_text("a,output\n1,2\n3,4\n5\n")
+    with pytest.raises(UserInputError, match="row 4 has 1 cells, expected 2"):
+        read_dataset_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
+def test_read_csv_rejects_non_finite_cell_with_location(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"a,b,output\n1,2,3\n4,{cell},6\n7,8,9\n")
+    with pytest.raises(UserInputError, match=rf"row 3, column 'b': non-finite cell '{cell}'"):
+        read_dataset_csv(p)
+
+
+def test_read_csv_header_without_rows_rejected_without_warning(tmp_path):
+    p = tmp_path / "d.csv"
+    for text in ("a,output\n", "a,output\n\n\n"):
+        p.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(UserInputError, match="at least 2 data rows"):
+                read_dataset_csv(p)
+        assert caught == []
+
+
+def test_read_csv_unreadable_file_names_path(tmp_path):
+    p = tmp_path / "missing.csv"
+    with pytest.raises(UserInputError, match="cannot read dataset .*missing.csv"):
+        read_dataset_csv(p)
+    p = tmp_path / "latin1.csv"
+    p.write_bytes("a,output\n1,2\n3,4\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(UserInputError, match="cannot read dataset .*latin1.csv"):
+        read_dataset_csv(p)
+
+
+def test_categorical_label_needing_quotes_round_trips_byte_stable(tmp_path):
+    specs = (
+        InputSpec("c", MarginalDistribution.categorical(("a,b", 'say "x"', "z"), (0.5, 0.3, 0.2))),
+        InputSpec("u", MarginalDistribution.uniform(0, 1)),
+    )
+    inputs = np.array([[0.0, 0.125], [1.0, 1 / 3], [2.0, 0.5], [0.0, 1e-300]])
+    ds = Dataset(inputs=inputs, output=np.array([1.0, -0.0, 2.5e10, 0.1]), specs=specs)
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_dataset_csv(p1, ds, metadata={"seed": 0})
+    assert '"a,b",0.125,1.0\n' in p1.read_text()
+    back = read_dataset_csv(p1, specs=specs)
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert back.output.tobytes() == ds.output.tobytes()
+    write_dataset_csv(p2, back, metadata={"seed": 0})
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_categorical_csv_round_trip(tmp_path):
