@@ -114,10 +114,11 @@ def _cell_indices(column, order, spec, resolutions):
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
     """V_w(E[Y | cell]) / Var(Y).
 
-    The rows arrive sorted by y (stably, so ties keep their original row
-    order), and bincount adds them in array order: each cell's sum is built
-    in ascending-y order, which makes it independent of how the dataset's
-    rows were ordered.
+    The rows arrive sorted by y, and bincount adds them in array order: each
+    cell's sum is built in ascending-y order, which makes it independent of
+    how the dataset's rows were ordered. The sort need not be stable: tied
+    outputs are identical bits except +0.0 and -0.0, and moving a zero does
+    not change a sum (see stable_sum).
     """
     counts = np.bincount(cell_idx, minlength=n_cells)
     sums = np.bincount(cell_idx, weights=y, minlength=n_cells)
@@ -152,7 +153,7 @@ def analyze(dataset, config=None):
     nb = config.n_bins_first or bin_count_first(n, k)
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
-    order = np.argsort(dataset.output, kind="stable")
+    order = np.argsort(dataset.output)
     cells_first = {}
     cells_pair = {}
     degenerate = []

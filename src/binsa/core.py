@@ -207,12 +207,19 @@ def stable_variance(values, mean=None):
     return stable_sum((v - mean) ** 2) / v.size
 
 
-def pearson(x, y):
-    """Product-moment correlation coefficient."""
+def _paired_vectors(x, y, name):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("pearson requires two equal-length vectors of size >= 2")
+        raise ValueError(f"{name} requires two equal-length vectors of size >= 2")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{name} requires finite values")
+    return x, y
+
+
+def pearson(x, y):
+    """Product-moment correlation coefficient of two finite vectors."""
+    x, y = _paired_vectors(x, y, "pearson")
     dx = x - stable_mean(x)
     dy = y - stable_mean(y)
     sx = stable_sum(dx * dx)
@@ -228,7 +235,7 @@ def _mid_ranks(v):
 
     Ties span sorted positions start..end-1, whose ranks average to
     (start + end + 1) / 2: exact in float, and the same bits as
-    scipy.stats.rankdata(v, method="average"), which also gives all-NaN
+    scipy's rankdata(v, method="average"), which also gives all-NaN
     ranks when v holds a NaN.
     """
     order = np.argsort(v)
@@ -243,9 +250,7 @@ def _mid_ranks(v):
 
 
 def spearman(x, y):
-    """Rank correlation: pearson applied to mid-rank transforms."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise ValueError("spearman requires two equal-length vectors of size >= 2")
+    """Rank correlation of two finite vectors: pearson applied to mid-rank
+    transforms."""
+    x, y = _paired_vectors(x, y, "spearman")
     return pearson(_mid_ranks(x), _mid_ranks(y))

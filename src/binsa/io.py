@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -115,7 +116,8 @@ def read_dataset_csv(path, specs=None):
     """Read a dataset CSV; the last column is the output.
 
     Without specs, every input column is treated as uniform over its observed
-    range (binning only needs the values themselves).
+    range (binning only needs the values themselves). Repeated input names
+    and a constant output are bad input.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -130,6 +132,9 @@ def read_dataset_csv(path, specs=None):
     if len(header) < 2:
         raise UserInputError(f"{path}: need at least one input column and one output column")
     names = header[:-1]
+    for j, name in enumerate(names):
+        if name in names[:j]:
+            raise UserInputError(f"{path}: header repeats the column name {name!r}")
     level_maps = {}
     if specs is not None:
         if [s.name for s in specs] != names:
@@ -141,6 +146,10 @@ def read_dataset_csv(path, specs=None):
     if data is None:
         data = _checked_rows(path, reader, header, level_maps)
     inputs, output = data[:, :-1], data[:, -1]
+    if output.min() == output.max():
+        raise UserInputError(
+            f"{path}: output column {header[-1]!r} is constant ({fmt_number(output[0])})"
+        )
     if specs is None:
         specs = []
         for j, name in enumerate(names):
@@ -152,34 +161,46 @@ def read_dataset_csv(path, specs=None):
     return Dataset(inputs=inputs, output=output, specs=specs)
 
 
+def _file_line(path, k):
+    """Line number in the file of its k-th line that is not a '#' line.
+
+    Only an error message needs it, so the file is read again then rather
+    than every read keeping the numbers of the lines it dropped.
+    """
+    with open(path, encoding="utf-8") as fh:
+        kept = (number for number, ln in enumerate(fh, start=1) if not ln.startswith("#"))
+        return next(itertools.islice(kept, k - 1, None))
+
+
 def _checked_rows(path, reader, header, level_maps):
     """The data rows as a float matrix, each cell checked: the definition of
-    what read_dataset_csv accepts. Errors name the row and column."""
+    what read_dataset_csv accepts. Errors name the row by its line number in
+    the file (a quoted record over several lines by its last), and the
+    column."""
+
+    def bad(detail, c=None):
+        where = "" if c is None else f", column {header[c]!r}:"
+        return UserInputError(f"{path}: row {_file_line(path, reader.line_num)}{where}{detail}")
+
     rows = []
-    for r, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(header):
-            raise UserInputError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+            raise bad(f" has {len(row)} cells, expected {len(header)}")
         vals = []
         for c, cell in enumerate(row):
             if c in level_maps:
                 if cell not in level_maps[c]:
-                    raise UserInputError(
-                        f"{path}: row {r}, column {header[c]!r}: unknown level {cell!r}"
-                    )
+                    raise bad(f" unknown level {cell!r}", c)
                 vals.append(level_maps[c][cell])
                 continue
             try:
                 v = float(cell)
             except ValueError:
-                raise UserInputError(
-                    f"{path}: row {r}, column {header[c]!r}: non-numeric cell {cell!r}"
-                ) from None
+                raise bad(f" non-numeric cell {cell!r}", c) from None
             if not math.isfinite(v):
-                raise UserInputError(
-                    f"{path}: row {r}, column {header[c]!r}: non-finite cell {cell!r}"
-                )
+                raise bad(f" non-finite cell {cell!r}", c)
             vals.append(v)
         rows.append(vals)
     if len(rows) < 2:

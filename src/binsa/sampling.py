@@ -1,14 +1,15 @@
 """Input-matrix generation: random, scrambled Sobol' and full factorial designs,
 marginal transforms, and pairwise dependence injection.
 
-scipy is imported inside the functions that need it, so that `import binsa`
+Sobol' points are generated here with numpy. scipy.special is imported only
+where normal quantiles or the normal CDF are needed, so that `import binsa`
 and the commands that only read a dataset do not pay for loading it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,82 @@ __all__ = [
 ]
 
 MAX_SOBOL_DIM = 64
+
+# Bits per Sobol' coordinate: at most 2**_SOBOL_BITS distinct points.
+_SOBOL_BITS = 30
+
+# Joe & Kuo, "Constructing Sobol sequences with better two-dimensional
+# projections", SIAM J. Sci. Comput. 30 (2008), direction numbers
+# new-joe-kuo-6.21201, first MAX_SOBOL_DIM dimensions: per dimension, the
+# primitive polynomial of degree s as an integer (leading and constant terms
+# included) and its initial direction numbers m_1..m_s. The first dimension
+# has every direction number 1 (the van der Corput sequence).
+_JOE_KUO = (
+    (1, ()),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)),
+    (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)),
+    (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)),
+    (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)),
+    (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)),
+    (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)),
+    (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)),
+    (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)),
+    (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)),
+    (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)),
+    (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)),
+    (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)),
+    (333, (1, 3, 1, 11, 27, 43, 71, 9)),
+    (351, (1, 1, 7, 15, 21, 11, 81, 45)),
+    (355, (1, 3, 7, 3, 25, 31, 65, 79)),
+    (357, (1, 3, 1, 1, 19, 11, 3, 205)),
+    (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)),
+    (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)),
+    (425, (1, 1, 3, 1, 11, 31, 97, 225)),
+    (451, (1, 1, 1, 3, 23, 43, 57, 177)),
+    (463, (1, 3, 7, 7, 17, 17, 37, 71)),
+    (487, (1, 3, 1, 5, 27, 63, 123, 213)),
+    (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
+    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
+    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
+    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+    (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+)
 
 # Normal quantiles at exactly 0 or 1 are clamped to +-8.2 standard deviations.
 _NORMAL_CLAMP = 8.2
@@ -74,25 +151,85 @@ class DependencePlan:
             raise ValueError(f"unknown dependence kind {self.kind!r}")
 
 
+@functools.cache
+def _sobol_directions():
+    """MAX_SOBOL_DIM x _SOBOL_BITS direction numbers, column b already
+    shifted left by _SOBOL_BITS - 1 - b. Beyond the initial m_1..m_s they
+    follow the recurrence of Bratley & Fox (ACM TOMS 14, 1988):
+    m_j = m_{j-s} ^ XOR over k = 1..s of a_k (m_{j-k} << k), where a_k is bit
+    s - k of the polynomial (a_s = 1)."""
+    rows = [[1] * _SOBOL_BITS]
+    for poly, initial in _JOE_KUO[1:]:
+        s = poly.bit_length() - 1
+        row = list(initial)
+        for j in range(s, _SOBOL_BITS):
+            m = row[j - s]
+            for k in range(1, s + 1):
+                if (poly >> (s - k)) & 1:
+                    m ^= row[j - k] << k
+            row.append(m)
+        rows.append(row)
+    shifts = _SOBOL_BITS - 1 - np.arange(_SOBOL_BITS, dtype=np.uint32)
+    v = np.array(rows, dtype=np.uint32) << shifts
+    v.flags.writeable = False
+    return v
+
+
+def _lms_shift(v, seed):
+    """Matousek's linear matrix scramble plus a digital shift of the
+    direction numbers v (dim x _SOBOL_BITS), drawn from default_rng(seed).
+
+    The draws, their uint32 dtype and their order (shift bits, then the
+    lower-triangular matrices) are those of scipy's qmc.Sobol, so a seed
+    gives the same points there and here.
+    """
+    dim, bits = v.shape
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(2, size=(dim, bits), dtype=np.uint32)
+    shift = (shift_bits << np.arange(bits, dtype=np.uint32)).sum(axis=1, dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # Bit p from the top of a scrambled number is the parity of (row p of
+    # ltm) AND (the original's bits from the top): pack each row into a
+    # mask, AND it with every direction number, and fold the parity down.
+    top = bits - 1 - np.arange(bits, dtype=np.uint32)
+    masks = (ltm << top).sum(axis=2, dtype=np.uint32)
+    x = v[:, :, None] & masks[:, None, :]
+    for half in (16, 8, 4, 2, 1):
+        x ^= x >> np.uint32(half)
+    return ((x & 1) << top).sum(axis=2, dtype=np.uint32), shift
+
+
 def sobol_points(dim, n, scramble=False, seed=0):
     """First n points of a Sobol' sequence in [0, 1)^dim, starting at index 0.
 
     The unscrambled sequence starts at the origin; dropping that first point
-    degrades the sequence, so it is always kept. Scrambling is seeded digital
-    scrambling, deterministic per seed.
+    degrades the sequence, so it is always kept. Scrambling is LMS plus a
+    digital shift, deterministic per seed. The points are bitwise those of
+    scipy's qmc.Sobol(dim, scramble=scramble, seed=seed).random(n) at its
+    default 30 bits, in the same Gray-code order.
     """
     if not 1 <= dim <= MAX_SOBOL_DIM:
         raise ValueError(f"sobol dimension must be in [1, {MAX_SOBOL_DIM}]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    from scipy.stats import qmc
-
-    engine = qmc.Sobol(d=dim, scramble=scramble, seed=seed)
-    with warnings.catch_warnings():
-        # non power-of-two draws are intentional (budget-matched designs)
-        warnings.simplefilter("ignore", UserWarning)
-        pts = engine.random(n)
-    return np.clip(pts, 0.0, np.nextafter(1.0, 0.0))
+    if n > 2**_SOBOL_BITS:
+        raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol' points can be generated, got n={n}")
+    v = _sobol_directions()[:dim]
+    shift = 0
+    if scramble:
+        v, shift = _lms_shift(v, seed)
+    # Point k is shift ^ XOR of v[:, b] over the set bits b of gray(k); the
+    # reflected Gray code makes points [s, 2s) those of [0, s) in reverse
+    # order, each XORed with v[:, b] for s = 2**b.
+    q = np.empty((n, dim), dtype=np.uint32)
+    q[0] = shift
+    s, b = 1, 0
+    while s < n:
+        c = min(s, n - s)
+        np.bitwise_xor(q[s - c : s][::-1], v[:, b], out=q[s : s + c])
+        s, b = 2 * s, b + 1
+    return q * 2.0**-_SOBOL_BITS
 
 
 def random_points(dim, n, seed=0):

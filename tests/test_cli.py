@@ -254,3 +254,59 @@ def test_too_small_n_is_exit_2(capsys, tmp_path):
     )
     assert code == 2
     assert "at least 100 rows" in err
+
+
+def test_repeated_input_name_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "dup.csv"
+    p.write_text("a,a,y\n" + "".join(f"{i},{i % 7},{i * i}\n" for i in range(200)))
+    code, _, err = run(["analyze", str(p), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert "header repeats the column name 'a'" in err
+
+
+def test_constant_output_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "flat.csv"
+    p.write_text("a,b,output\n" + "".join(f"{i},{i % 7},3\n" for i in range(200)))
+    for command in ("analyze", "simdec"):
+        code, _, err = run([command, str(p), "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "output column 'output' is constant (3.0)" in err
+
+
+def _modules_loaded_by(argv, tmp_path):
+    """Names of the modules loaded by a fresh process that runs binsa argv."""
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import json, sys, binsa.cli\n"
+        "code = binsa.cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv, "--n", "2000", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_compare_on_uniform_model_loads_no_scipy(tmp_path):
+    modules = _modules_loaded_by(["compare", "--model", "ishigami"], tmp_path)
+    assert "binsa.oracle" in modules
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--model", "toy_portfolio"],
+        ["sweep-dependence", "--model", "two_factor_multiplicative"],
+    ],
+    ids=["sample", "sweep-dependence"],
+)
+def test_sampling_commands_load_no_scipy_stats(tmp_path, argv):
+    # normal quantiles and the copula still load scipy.special
+    modules = _modules_loaded_by(argv, tmp_path)
+    assert "scipy.special" in modules
+    assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []

@@ -110,6 +110,23 @@ def test_pearson_degenerate_raises():
         pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pearson_rejects_non_finite_values(bad):
+    # min(1, max(-1, nan)) is -1.0: a NaN must not come back as a correlation
+    with pytest.raises(ValueError, match="pearson requires finite values"):
+        pearson([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="pearson requires finite values"):
+        pearson([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="spearman requires finite values"):
+        spearman([1.0, 2.0, bad, 4.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="spearman requires finite values"):
+        spearman([1.0, 2.0, 3.0, 4.0], [1.0, bad, 3.0, 4.0])
+
+
 def test_spearman_on_monotone_nonlinear_data():
     x = np.linspace(0, 1, 50)
     assert spearman(x, np.exp(5 * x)) == pytest.approx(1.0)

@@ -114,6 +114,36 @@ def test_read_csv_errors_name_row_and_column(tmp_path):
     assert "row 18" in msg and "'b'" in msg and "oops" in msg
 
 
+def test_read_csv_error_rows_are_file_line_numbers(tmp_path):
+    p = tmp_path / "bad.csv"
+    head = '# meta {"seed": 1}\na,b,output\n1,2,3\n# note\n'
+    p.write_text(head + "4,oops,6\n7,8,9\n")  # the bad cell is on file line 5
+    with pytest.raises(UserInputError, match=r"row 5, column 'b': non-numeric cell 'oops'"):
+        read_dataset_csv(p)
+    p.write_text(head + "4,5,6\n\n#\n7,8\n")
+    with pytest.raises(UserInputError, match="row 8 has 2 cells, expected 3"):
+        read_dataset_csv(p)
+
+
+def test_read_csv_rejects_repeated_input_name(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_text("a,b,a,output\n1,2,3,4\n5,6,7,8\n")
+    with pytest.raises(UserInputError, match="header repeats the column name 'a'"):
+        read_dataset_csv(p)
+
+
+def test_read_csv_rejects_constant_output(tmp_path):
+    # once through the bulk parser, once through the checked loop
+    p = tmp_path / "d.csv"
+    p.write_text("a,y\n1,2.5\n3,2.5\n4,2.5\n")
+    with pytest.raises(UserInputError, match=r"output column 'y' is constant \(2\.5\)"):
+        read_dataset_csv(p)
+    spec = (InputSpec("c", MarginalDistribution.categorical(("u", "v"), (0.5, 0.5))),)
+    p.write_text("c,output\nu,0\nv,0\n")
+    with pytest.raises(UserInputError, match="output column 'output' is constant"):
+        read_dataset_csv(p, specs=spec)
+
+
 def test_read_csv_ragged_row_rejected(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("a,output\n1,2\n3\n")

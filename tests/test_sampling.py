@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -15,6 +17,7 @@ from binsa import (
     sobol_points,
     transform_marginals,
 )
+from binsa.sampling import MAX_SOBOL_DIM, _lms_shift, _sobol_directions
 
 
 def test_sobol_unscrambled_starts_at_origin():
@@ -43,6 +46,55 @@ def test_sobol_range_and_dim_limits():
         sobol_points(65, 10)
     with pytest.raises(ValueError):
         sobol_points(0, 10)
+
+
+_SCRAMBLE_SEEDS = (0, 7, 2**40 + 3)
+
+
+def test_sobol_points_equal_scipy_bitwise():
+    # n = 1 is scipy's first-point path; 2**10 +- 1 end inside, at and just
+    # past a Gray-code doubling; 1500 is the oracle's default budget
+    ns = (1, 2, 3, 2**10 - 1, 2**10, 2**10 + 1, 1500)
+    for dim in range(1, MAX_SOBOL_DIM + 1):
+        # the unscrambled sequence ignores the seed, here and in scipy
+        for scramble, seeds in ((False, (0,)), (True, _SCRAMBLE_SEEDS)):
+            for seed in seeds:
+                engine = qmc.Sobol(d=dim, scramble=scramble, seed=seed)
+                for n in ns:
+                    engine.reset()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+                        expected = np.clip(engine.random(n), 0.0, np.nextafter(1.0, 0.0))
+                    got = sobol_points(dim, n, scramble=scramble, seed=seed)
+                    assert got.dtype == expected.dtype and got.shape == expected.shape
+                    assert got.tobytes() == expected.tobytes(), (dim, scramble, seed, n)
+
+
+def test_sobol_direction_numbers_equal_scipy_in_all_30_bits():
+    # A prefix of n points uses only the first ceil(log2 n) direction numbers
+    # of each dimension, so compare all 30 with the ones scipy's draw XORs in.
+    for dim in range(1, MAX_SOBOL_DIM + 1):
+        engine = qmc.Sobol(d=dim, scramble=False)
+        assert np.array_equal(_sobol_directions()[:dim], engine._sv)
+        for seed in _SCRAMBLE_SEEDS:
+            engine = qmc.Sobol(d=dim, scramble=True, seed=seed)
+            v, shift = _lms_shift(_sobol_directions()[:dim], seed)
+            assert v.dtype == engine._sv.dtype and shift.dtype == engine._shift.dtype
+            assert np.array_equal(v, engine._sv), (dim, seed)
+            assert np.array_equal(shift, engine._shift), (dim, seed)
+
+
+def test_sobol_points_beyond_2_pow_30_raise_before_allocating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    for scramble in (False, True):
+        with pytest.raises(ValueError, match=r"at most 2\*\*30 Sobol' points"):
+            sobol_points(2, 2**30 + 1, scramble=scramble)
+    # 2**30 points are allowed, so that call gets as far as allocating
+    with pytest.raises(AssertionError, match="allocated"):
+        sobol_points(2, 2**30)
 
 
 def test_sobol_dyadic_stratification():
