@@ -57,10 +57,32 @@ def _model(name, params):
         raise UserInputError(str(exc)) from None
 
 
+def _sample(config, specs, dependence):
+    """sample_inputs, with a design or a dependence pair that the inputs
+    cannot take as a user-input error."""
+    k, n = len(specs), config.sampling.n
+    if config.sampling.method == "FFD" and n < 2**k:
+        raise UserInputError(
+            f"sampling.n must be >= 2**{k} = {2**k} for FFD on {k} inputs, got {n}"
+        )
+    for i, dep in enumerate(dependence):
+        for j in dep.pair:
+            if not 0 <= j < k:
+                raise UserInputError(
+                    f"dependence[{i}].pair names input {j}; the inputs are 0..{k - 1}"
+                )
+            if specs[j].distribution.kind != "uniform":
+                raise UserInputError(
+                    f"dependence[{i}].pair names input {j} ({specs[j].name!r}), which is not "
+                    "uniform; dependence needs uniform marginals"
+                )
+    return sample_inputs(config.sampling, specs, dependence=dependence)
+
+
 def _build_dataset(config):
     model = _model(config.model, config.model_params)
     specs = default_specs(model, law=config.law)
-    matrix = sample_inputs(config.sampling, specs, dependence=config.dependence)
+    matrix = _sample(config, specs, config.dependence)
     output = evaluate(model, matrix)
     return Dataset(inputs=matrix, output=output, specs=specs), model, specs
 
@@ -191,13 +213,8 @@ def cmd_compare(config):
 
 
 def cmd_sweep_dependence(config):
-    if config.model not in ("two_factor_additive", "two_factor_multiplicative", None):
-        raise UserInputError("sweep-dependence requires a two-factor model (or both)")
-    models = (
-        [config.model]
-        if config.model
-        else ["two_factor_additive", "two_factor_multiplicative"]
-    )
+    if config.model not in ("two_factor_additive", "two_factor_multiplicative"):
+        raise UserInputError("sweep-dependence requires a two-factor model")
     rows = [
         [
             "model",
@@ -212,44 +229,41 @@ def cmd_sweep_dependence(config):
             "status",
         ]
     ]
-    for model_name in models:
-        model = _model(model_name, config.model_params)
-        specs = default_specs(model)
-        for kind in ("copula", "equal_portion"):
-            for value in config.sweep_grid:
-                if kind == "copula":
-                    plan = DependencePlan(kind="copula", pair=(0, 1), rho=value)
-                else:
-                    plan = DependencePlan(
-                        kind="equal_portion",
-                        pair=(0, 1),
-                        fraction=abs(value),
-                        sign="negative" if value < 0 else "positive",
-                    )
-                matrix = sample_inputs(config.sampling, specs, dependence=(plan,))
-                output = evaluate(model, matrix)
-                a, b = matrix[:, 0], matrix[:, 1]
-                if output.max() == output.min():
-                    rows.append(
-                        [model_name, kind, fmt_number(value)] + [""] * 6 + ["degenerate"]
-                    )
-                    continue
-                dataset = Dataset(inputs=matrix, output=output, specs=specs)
-                report = analyze(dataset, _binning_config(config))
-                rows.append(
-                    [
-                        model_name,
-                        kind,
-                        fmt_number(value),
-                        fmt_number(pearson(a, b)),
-                        fmt_number(spearman(a, b)),
-                        fmt_number(report.first_order[0]),
-                        fmt_number(report.first_order[1]),
-                        fmt_number(report.second_order[0, 1]),
-                        fmt_number(conservation_check(report)),
-                        "ok",
-                    ]
+    model = _model(config.model, config.model_params)
+    specs = default_specs(model)
+    for kind in ("copula", "equal_portion"):
+        for value in config.sweep_grid:
+            if kind == "copula":
+                plan = DependencePlan(kind="copula", pair=(0, 1), rho=value)
+            else:
+                plan = DependencePlan(
+                    kind="equal_portion",
+                    pair=(0, 1),
+                    fraction=abs(value),
+                    sign="negative" if value < 0 else "positive",
                 )
+            matrix = _sample(config, specs, (plan,))
+            output = evaluate(model, matrix)
+            a, b = matrix[:, 0], matrix[:, 1]
+            if output.max() == output.min():
+                rows.append([config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"])
+                continue
+            dataset = Dataset(inputs=matrix, output=output, specs=specs)
+            report = analyze(dataset, _binning_config(config))
+            rows.append(
+                [
+                    config.model,
+                    kind,
+                    fmt_number(value),
+                    fmt_number(pearson(a, b)),
+                    fmt_number(spearman(a, b)),
+                    fmt_number(report.first_order[0]),
+                    fmt_number(report.first_order[1]),
+                    fmt_number(report.second_order[0, 1]),
+                    fmt_number(conservation_check(report)),
+                    "ok",
+                ]
+            )
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     _write(path, table_csv(rows, _metadata(config)))

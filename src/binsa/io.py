@@ -7,12 +7,12 @@ run metadata and are skipped on read.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-_ROWS_PER_WRITE = 10_000
+_ROWS_PER_WRITE = 1_000
+_SCAN_BYTES = 1 << 20
 
 
 class UserInputError(ValueError):
@@ -54,57 +55,87 @@ def _meta_line(metadata):
     return "# meta " + json.dumps(metadata, sort_keys=True) if metadata else None
 
 
+def _csv_cell(text):
+    """text as csv.writer writes it as one cell of a row of several."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
+
+
 def write_dataset_csv(path, dataset, metadata=None):
     """Write inputs plus a final 'output' column; categorical columns are
     written as level labels.
 
     Numbers are written as repr(float), fmt_number's shortest round-trip
-    form. Cells are formatted a column at a time, in blocks of
-    _ROWS_PER_WRITE rows, so that only one block's strings are held at once.
+    form, which never needs quoting; each level label is quoted once, as
+    csv.writer quotes it. Cells are formatted a column at a time and joined
+    into rows in blocks of _ROWS_PER_WRITE rows, so that only one block's
+    strings are held at once.
     """
-    levels = [
-        s.distribution.levels if s.distribution.kind == "categorical" else None
+    labels = [
+        [_csv_cell(lv) for lv in s.distribution.levels]
+        if s.distribution.kind == "categorical" else None
         for s in dataset.specs
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         meta = _meta_line(metadata)
         if meta:
             fh.write(meta + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.names) + ["output"])
+        csv.writer(fh, lineterminator="\n").writerow(list(dataset.names) + ["output"])
         for start in range(0, dataset.n_rows, _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
             cols = []
-            for j, lv in enumerate(levels):
+            for j, cells in enumerate(labels):
                 values = dataset.inputs[block, j]
-                if lv is None:
-                    cols.append(list(map(repr, values.tolist())))
+                if cells is None:
+                    cols.append(map(float.__repr__, values.tolist()))
                 else:
-                    cols.append([lv[c] for c in values.astype(np.int64).tolist()])
-            cols.append(list(map(repr, dataset.output[block].tolist())))
-            writer.writerows(zip(*cols))
+                    cols.append(map(cells.__getitem__, values.astype(np.int64).tolist()))
+            cols.append(map(float.__repr__, dataset.output[block].tolist()))
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
 
 # Whitespace that np.loadtxt strips around a number and float() does not.
-_LOADTXT_ONLY_SPACE = re.compile("[\x1c-\x1f]")
+_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
-def _bulk_rows(lines, n_cols):
+def _plain_utf8(path):
+    """Whether the file holds none of _LOADTXT_ONLY_SPACE.
+
+    The file is read as bytes in _SCAN_BYTES chunks and decoded on the way,
+    so a file that is not UTF-8 raises UnicodeDecodeError here, before any
+    of it is parsed, as it did when the reader decoded the whole file first.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    plain = True
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SCAN_BYTES):
+            decoder.decode(chunk)
+            plain = plain and not any(c in chunk for c in _LOADTXT_ONLY_SPACE)
+    decoder.decode(b"", final=True)
+    return plain
+
+
+def _data_lines(fh):
+    """The lines of a text file that are not '#' lines, read as needed."""
+    return (ln for ln in fh if not ln.startswith("#"))
+
+
+def _bulk_rows(rows, n_cols):
     """Parse data lines of plain numbers with np.loadtxt, or return None.
 
-    np.loadtxt accepts a subset of what _checked_rows accepts, with the same
-    values, except for the padding characters in _LOADTXT_ONLY_SPACE. None
-    (use _checked_rows) for those, for anything loadtxt rejects or warns
-    about (a file with no data rows), for fewer than 2 rows, a wrong column
-    count or a non-finite value: _checked_rows alone decides what is
-    accepted and words every error.
+    rows is an iterable of lines, consumed as loadtxt parses them. np.loadtxt
+    accepts a subset of what _checked_rows accepts, with the same values,
+    except for the padding characters in _LOADTXT_ONLY_SPACE, which the
+    caller rules out first. None (use _checked_rows) for anything loadtxt
+    rejects or warns about (a file with no data rows), for fewer than 2
+    rows, a wrong column count or a non-finite value: _checked_rows alone
+    decides what is accepted and words every error.
     """
-    if _LOADTXT_ONLY_SPACE.search("".join(lines)):
-        return None
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except (ValueError, UserWarning):
         return None
     if data.shape[0] < 2 or data.shape[1] != n_cols or not np.all(np.isfinite(data)):
@@ -120,31 +151,44 @@ def read_dataset_csv(path, specs=None):
     and a constant output are bad input.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in fh if not ln.startswith("#")]
+        return _read_dataset_csv(path, specs)
     except (OSError, UnicodeDecodeError) as exc:
         raise UserInputError(f"cannot read dataset {path}: {exc}") from None
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise UserInputError(f"{path}: empty file") from None
-    if len(header) < 2:
-        raise UserInputError(f"{path}: need at least one input column and one output column")
-    names = header[:-1]
-    for j, name in enumerate(names):
-        if name in names[:j]:
-            raise UserInputError(f"{path}: header repeats the column name {name!r}")
-    level_maps = {}
-    if specs is not None:
-        if [s.name for s in specs] != names:
-            raise UserInputError(f"{path}: header does not match the provided input specs")
-        for j, s in enumerate(specs):
-            if s.distribution.kind == "categorical":
-                level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
-    data = None if level_maps else _bulk_rows(lines[reader.line_num:], len(header))
+
+
+def _read_dataset_csv(path, specs):
+    """read_dataset_csv, less the wording of an unreadable file.
+
+    The data lines stream from the file into np.loadtxt; if the bulk parser
+    declines them, the file is read again, from the top, by _checked_rows.
+    """
+    plain = _plain_utf8(path)
+    with open(path, encoding="utf-8") as fh:
+        lines = _data_lines(fh)
+        reader = csv.reader(lines)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise UserInputError(f"{path}: empty file") from None
+        if len(header) < 2:
+            raise UserInputError(f"{path}: need at least one input column and one output column")
+        names = header[:-1]
+        for j, name in enumerate(names):
+            if name in names[:j]:
+                raise UserInputError(f"{path}: header repeats the column name {name!r}")
+        level_maps = {}
+        if specs is not None:
+            if [s.name for s in specs] != names:
+                raise UserInputError(f"{path}: header does not match the provided input specs")
+            for j, s in enumerate(specs):
+                if s.distribution.kind == "categorical":
+                    level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
+        data = _bulk_rows(lines, len(header)) if plain and not level_maps else None
     if data is None:
-        data = _checked_rows(path, reader, header, level_maps)
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.reader(_data_lines(fh))
+            next(reader)
+            data = _checked_rows(path, reader, header, level_maps)
     inputs, output = data[:, :-1], data[:, -1]
     if output.min() == output.max():
         raise UserInputError(
@@ -300,9 +344,13 @@ class StudyConfig:
 
 def _parse_dependence(items):
     plans = []
-    for d in items:
+    for k, d in enumerate(items):
+        if not isinstance(d, dict):
+            raise UserInputError(f"dependence[{k}] must be a JSON object, got {d!r}")
         kind = d.get("kind")
         pair = tuple(d.get("pair", ()))
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in pair):
+            raise UserInputError(f"dependence[{k}].pair must hold input indices, got {list(pair)}")
         if kind == "copula":
             plans.append(DependencePlan(kind="copula", pair=pair, rho=float(d.get("rho", 0.0))))
         elif kind == "equal_portion":
@@ -336,17 +384,42 @@ def _bin_count(value, key):
     return value
 
 
+def _at_least(value, key, minimum):
+    """A number from a config that must not fall below minimum."""
+    if value < minimum:
+        raise UserInputError(f"{key} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _section(raw, key):
+    """A copy of the JSON object at raw[key] ({} when absent)."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise UserInputError(f"{key} must be a JSON object, got {section!r}")
+    return dict(section)
+
+
+def _sweep_grid(values):
+    grid = tuple(values)
+    for i, v in enumerate(grid):
+        if not isinstance(v, (int, float)) or not -1.0 <= v <= 1.0:
+            raise UserInputError(f"sweep_grid[{i}] must be a number in [-1, 1], got {v!r}")
+    return grid
+
+
 def config_from_dict(raw, overrides=None):
+    if not isinstance(raw, dict):
+        raise UserInputError(f"config must be a JSON object, got {type(raw).__name__}")
     overrides = overrides or {}
     model = raw.get("model")
     model_params = {}
     if isinstance(model, dict):
         model_params = {k: v for k, v in model.items() if k != "name"}
         model = model.get("name")
-    sampling_raw = dict(raw.get("sampling", {}))
-    binning_raw = dict(raw.get("binning", {}))
-    simdec_raw = dict(raw.get("simdec", {}))
-    oracle_raw = dict(raw.get("oracle", {}))
+    sampling_raw = _section(raw, "sampling")
+    binning_raw = _section(raw, "binning")
+    simdec_raw = _section(raw, "simdec")
+    oracle_raw = _section(raw, "oracle")
     if "seed" in overrides and overrides["seed"] is not None:
         sampling_raw["seed"] = overrides["seed"]
     elif "seed" in raw:
@@ -368,10 +441,16 @@ def config_from_dict(raw, overrides=None):
             scramble=bool(sampling_raw.get("scramble", True)),
         )
         dependence = _parse_dependence(raw.get("dependence", []))
+        law = raw.get("law", "normal")
+        if law not in ("normal", "uniform"):
+            raise UserInputError(f"law must be 'normal' or 'uniform', got {law!r}")
+        oracle_sampler = oracle_raw.get("sampler", "QMC").upper()
+        if oracle_sampler not in ("MC", "QMC"):
+            raise UserInputError(f"oracle.sampler must be 'MC' or 'QMC', got {oracle_sampler!r}")
         return StudyConfig(
             model=model,
             model_params=model_params,
-            law=raw.get("law", "normal"),
+            law=law,
             dataset_path=raw.get("dataset"),
             sampling=plan,
             dependence=dependence,
@@ -381,15 +460,19 @@ def config_from_dict(raw, overrides=None):
             ),
             simdec_max_inputs=int(simdec_raw.get("max_inputs", 3)),
             simdec_cum_threshold=float(simdec_raw.get("cum_threshold", 0.8)),
-            n_output_bins=int(simdec_raw.get("n_output_bins", 100)),
-            oracle_n=int(oracle_raw.get("n", 1500)),
-            oracle_sampler=oracle_raw.get("sampler", "QMC").upper(),
-            sweep_grid=tuple(raw.get("sweep_grid", (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75))),
+            n_output_bins=_at_least(
+                int(simdec_raw.get("n_output_bins", 100)), "simdec.n_output_bins", 1
+            ),
+            oracle_n=_at_least(int(oracle_raw.get("n", 1500)), "oracle.n", 128),
+            oracle_sampler=oracle_sampler,
+            sweep_grid=_sweep_grid(
+                raw.get("sweep_grid", (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75))
+            ),
             out_dir=out_dir,
         )
     except UserInputError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise UserInputError(f"invalid config: {exc}") from None
 
 

@@ -3,11 +3,15 @@ deterministic and diff-able."""
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 __all__ = ["bar_chart", "stacked_histogram"]
 
 _FONT = "font-family='monospace' font-size='12'"
+
+
+def escape(text):
+    """text with '&', '<' and '>' as XML entities, as xml.sax.saxutils.escape
+    does; that module's import loads urllib, http, email and ssl."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _svg(width, height, body, metadata=""):

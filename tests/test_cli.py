@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -135,6 +136,17 @@ def test_sweep_dependence_flags_degenerate_full_coupling(tmp_path, capsys):
     assert ("equal_portion", "-1.0") in {(r[1], r[2]) for r in degenerate}
 
 
+def test_sweep_dependence_on_dataset_config_is_exit_2(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("a,b,output\n" + "".join(f"{i},{i % 7},{i * i}\n" for i in range(200)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(data), "out": str(tmp_path)}))
+    code, _, err = run(["sweep-dependence", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert "sweep-dependence requires a two-factor model" in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_missing_input_is_exit_2(capsys):
     code, _, err = run(["analyze"], capsys)
     assert code == 2
@@ -155,6 +167,15 @@ def test_malformed_csv_is_exit_2_with_location(tmp_path, capsys):
     code, _, err = run(["analyze", str(p)], capsys)
     assert code == 2
     assert "row 18" in err and "'b'" in err
+
+
+def test_undecodable_byte_after_many_rows_is_exit_2(tmp_path, capsys):
+    p = tmp_path / "late.csv"
+    rows = "".join(f"{i},{i % 7},{i * i}\n" for i in range(20_000))
+    p.write_bytes(b"a,b,output\n" + rows.encode() + b"1,2,\xff\n")
+    code, _, err = run(["analyze", str(p), "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"cannot read dataset {p}" in err
 
 
 def test_json_errors_flag(tmp_path, capsys):
@@ -193,11 +214,25 @@ def test_model_parameters_are_exit_2(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor what xml.sax.saxutils pulls in
     src = os.path.dirname(os.path.dirname(binsa.__file__))
-    code = "import binsa.cli, sys; assert 'scipy' not in sys.modules, 'scipy imported'"
+    code = (
+        "import binsa.cli, sys\n"
+        "for name in ('scipy', 'xml.sax', 'urllib.request', 'http.client', 'email'):\n"
+        "    assert name not in sys.modules, name + ' imported'\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_svg_escape_equals_saxutils():
+    from xml.sax.saxutils import escape as sax_escape
+
+    from binsa.svg import escape
+
+    for text in ("&<>\"'", "a &amp; b", "x<y>z & 'q' \"r\"", "caf\u00e9 \u2264 \u03c3 <\u00b5>", ""):
+        assert escape(text) == sax_escape(text)
 
 
 def test_compare_rejects_dependence_config(tmp_path, capsys):
@@ -310,3 +345,50 @@ def test_sampling_commands_load_no_scipy_stats(tmp_path, argv):
     modules = _modules_loaded_by(argv, tmp_path)
     assert "scipy.special" in modules
     assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("analyze", [{"model": "ishigami"}], [], "config must be a JSON object, got list"),
+        ("sample", {"model": "ishigami", "sampling": [100]}, [],
+         "sampling must be a JSON object"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [0, 5], "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair names input 5; the inputs are 0\.\.1"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [0, 1.5], "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair must hold input indices"),
+        ("sample", {"model": "two_factor_additive", "dependence": ["copula"]}, [],
+         r"dependence\[0\] must be a JSON object"),
+        ("sample", {"model": "toy_portfolio",
+                    "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair names input 0 \('Ps'\), which is not uniform"),
+        ("sample", {"model": "ishigami"}, ["--sampler", "ffd", "--n", "3"],
+         r"sampling\.n must be >= 2\*\*3 = 8 for FFD on 3 inputs, got 3"),
+        ("sweep-dependence", {"model": "two_factor_additive"}, ["--sampler", "ffd", "--n", "3"],
+         r"sampling\.n must be >= 2\*\*2 = 4 for FFD on 2 inputs, got 3"),
+        ("simdec", {"model": "ishigami", "simdec": {"n_output_bins": 0}}, [],
+         "simdec.n_output_bins must be >= 1, got 0"),
+        ("analyze", {"model": "toy_portfolio", "law": "lognormal"}, [],
+         "law must be 'normal' or 'uniform', got 'lognormal'"),
+        ("compare", {"model": "ishigami", "oracle": {"n": 0}}, [], "oracle.n must be >= 128, got 0"),
+        ("compare", {"model": "ishigami", "oracle": {"sampler": "ffd"}}, [],
+         "oracle.sampler must be 'MC' or 'QMC', got 'FFD'"),
+        ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": [0.5, 2.0]}, [],
+         r"sweep_grid\[1\] must be a number in \[-1, 1\], got 2\.0"),
+    ],
+    ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
+         "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
+         "zero-output-bins", "law", "oracle-n", "oracle-sampler", "sweep-grid"],
+)
+def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
+                                                     message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run([command, "--config", str(cfg), "--n", "1000", *flags, "--out", str(out)],
+                       capsys)
+    assert code == 2, err
+    assert re.search(message, err), err
+    assert not out.exists()

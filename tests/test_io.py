@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -64,15 +65,18 @@ def test_dataset_csv_second_write_is_byte_identical(tmp_path):
 
 
 def test_dataset_csv_matches_cell_by_cell_reference(tmp_path):
-    # more rows than one write block, with a categorical column
+    # more rows than one write block, with a categorical column whose labels
+    # need quotes (a comma, a quote, a carriage return), are empty or start
+    # with a space
     n = 2 * binsa.io._ROWS_PER_WRITE + 1
     rng = np.random.default_rng(5)
+    levels = ("lo", "a,b", "", " x", "a\rb", 'q"')
     specs = (
         InputSpec("u", MarginalDistribution.uniform(0, 1)),
-        InputSpec("c", MarginalDistribution.categorical(("lo", "a,b"), (0.5, 0.5))),
+        InputSpec("c", MarginalDistribution.categorical(levels, (1 / 6,) * 6)),
     )
     scale = 10.0 ** rng.integers(-5, 5, n)
-    inputs = np.column_stack([rng.normal(size=n) * scale, rng.integers(0, 2, n)])
+    inputs = np.column_stack([rng.normal(size=n) * scale, rng.integers(0, len(levels), n)])
     ds = Dataset(inputs=inputs, output=rng.normal(size=n), specs=specs)
     p = tmp_path / "d.csv"
     write_dataset_csv(p, ds, metadata={"seed": 5})
@@ -84,7 +88,7 @@ def test_dataset_csv_matches_cell_by_cell_reference(tmp_path):
         u, c = ds.inputs[r]
         label = specs[1].distribution.levels[int(c)]
         writer.writerow([fmt_number(u), label, fmt_number(ds.output[r])])
-    assert p.read_text(encoding="utf-8") == ref.getvalue()
+    assert p.read_bytes() == ref.getvalue().encode("utf-8")
 
 
 def test_read_csv_without_specs_infers_uniform(tmp_path):
@@ -214,6 +218,40 @@ def test_bulk_read_keeps_the_checked_reader_errors(tmp_path):
     p.write_text("a,output\n1,2\n3,4\n5\n")
     with pytest.raises(UserInputError, match="row 4 has 1 cells, expected 2"):
         read_dataset_csv(p)
+
+
+def _plain_rows(n, n_cols=7):
+    """The text of a dataset CSV: a header and n rows of n_cols random numbers."""
+    x = np.random.default_rng(0).random((n, n_cols))
+    header = ",".join(f"c{j}" for j in range(n_cols - 1)) + ",output\n"
+    return header + "".join(",".join(map(repr, row)) + "\n" for row in x.tolist())
+
+
+def test_bulk_read_sees_padding_past_the_first_scanned_chunk(tmp_path):
+    text = _plain_rows(40_000, n_cols=2)
+    assert len(text) > 1.2 * binsa.io._SCAN_BYTES
+    lines = text.splitlines(keepends=True)
+    lines[-2] = "4\x1c," + lines[-2].split(",")[1]
+    p = tmp_path / "d.csv"
+    p.write_text("".join(lines))
+    with pytest.raises(UserInputError, match=r"row 40000, column 'c0': non-numeric cell '4\\x1c'"):
+        read_dataset_csv(p)
+
+
+def test_read_csv_peak_memory_is_a_small_multiple_of_the_data(tmp_path):
+    # the lines stream into the parser: no list of them, no joined copy
+    n = 20_000
+    p = tmp_path / "d.csv"
+    p.write_text(_plain_rows(n))
+    data_bytes = n * 7 * 8
+    tracemalloc.start()
+    try:
+        ds = read_dataset_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_rows == n
+    assert peak < 3 * data_bytes, peak / data_bytes
 
 
 @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
