@@ -93,20 +93,32 @@ def bin_count_second_per_dim(n_obs):
 def _cell_indices(column, order, spec, resolutions):
     """Bin index per row, rows taken in the given order, at each bin count in
     resolutions: equal-width over the observed [min, max], rightmost
-    inclusive. Categorical columns bin by level code at every resolution."""
+    inclusive. Categorical columns bin by level code at every resolution.
+
+    None for a constant column. A range so wide that max - min overflows,
+    or so narrow that bins / (max - min) does, has no float bin geometry:
+    a ValueError names the column.
+    """
     if spec.distribution.kind == "categorical":
         codes = column[order].astype(np.int64)
         return [(codes, len(spec.distribution.levels))] * len(resolutions)
-    lo = column.min()
-    hi = column.max()
+    lo = float(column.min())
+    hi = float(column.max())
     if lo == hi:
-        raise ValueError("degenerate input")
+        return None
+    scales = [n_bins / (hi - lo) for n_bins in resolutions]
+    if not all(0.0 < scale < math.inf for scale in scales):
+        raise ValueError(
+            f"input column {spec.name!r} spans [{lo!r}, {hi!r}]: its width or its bin "
+            "scale overflows a float, so it cannot be cut into equal-width bins"
+        )
     offset = column[order]  # a fresh copy, so it is shifted in place
     offset -= lo
     cells = []
-    for n_bins in resolutions:
-        idx = np.floor(offset * (n_bins / (hi - lo))).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
+    for n_bins, scale in zip(resolutions, scales):
+        # the offsets are >= 0, so the cast's truncation is the floor
+        idx = (offset * scale).astype(np.int64)
+        np.minimum(idx, n_bins - 1, out=idx)
         cells.append((idx, n_bins))
     return cells
 
@@ -143,7 +155,8 @@ def analyze(dataset, config=None):
     average is kept: one note covers every numeric pair when m^2 > N/5, and
     each pair with a categorical input whose n_cells_i x n_cells_j exceeds
     N/5 is named in a note of its own. Each note is recorded in
-    report.warnings and emitted as a UserWarning.
+    report.warnings and emitted as a UserWarning. A numeric column whose
+    range has no float bin geometry (see _cell_indices) raises ValueError.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
@@ -154,18 +167,21 @@ def analyze(dataset, config=None):
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
     order = np.argsort(dataset.output)
-    cells_first = {}
-    cells_pair = {}
+    y = dataset.output[order]
+    first = np.zeros(k)
+    cells = {}
     degenerate = []
     for i, spec in enumerate(dataset.specs):
-        try:
-            cells_first[i], cells_pair[i] = _cell_indices(dataset.column(i), order, spec, (nb, m))
-        except ValueError:
+        binned = _cell_indices(dataset.column(i), order, spec, (nb, m))
+        if binned is None:
             degenerate.append(f"degenerate input column {dataset.names[i]!r}: indices set to 0")
-    y = dataset.output[order]
-    pairs = list(itertools.combinations(cells_pair, 2))
+            continue
+        (ci, n_cells), cells[i] = binned
+        first[i] = _conditional_variance_ratio(ci, n_cells, y, var_y)
+        del binned, ci  # nothing else reads the nb-bin index
+    pairs = list(itertools.combinations(cells, 2))
 
-    sparse = [(i, j) for i, j in pairs if cells_pair[i][1] * cells_pair[j][1] > n / 5]
+    sparse = [(i, j) for i, j in pairs if cells[i][1] * cells[j][1] > n / 5]
     categorical = [s.distribution.kind == "categorical" for s in dataset.specs]
     notes = []
     if any(not (categorical[i] or categorical[j]) for i, j in sparse):
@@ -173,22 +189,32 @@ def analyze(dataset, config=None):
     for i, j in sparse:
         if categorical[i] or categorical[j]:
             a, b = dataset.names[i], dataset.names[j]
-            ni, nj = cells_pair[i][1], cells_pair[j][1]
+            ni, nj = cells[i][1], cells[j][1]
             notes.append(f"sparse grid: pair ({a!r}, {b!r}) has {ni} x {nj} cells, more than N/5")
     notes += degenerate
     for note in notes:
         warnings.warn(note, stacklevel=2)
 
-    first = np.zeros(k)
-    for i, (ci, n_cells) in cells_first.items():
-        first[i] = _conditional_variance_ratio(ci, n_cells, y, var_y)
-
+    # Joint cell of a pair: ci * nj + cj. The scaled index ci * nj is formed
+    # once per (i, nj) and shared by every later j with nj cells; both it and
+    # the joint index are written into one buffer each.
+    marg = {i: _conditional_variance_ratio(ci, nc, y, var_y) for i, (ci, nc) in cells.items()}
+    by_size = {}
+    for j, (_, nj) in cells.items():
+        by_size.setdefault(nj, []).append(j)
+    scaled = np.empty(n, dtype=np.int64)
+    joint = np.empty(n, dtype=np.int64)
     second = np.zeros((k, k))
-    marg = {i: _conditional_variance_ratio(ci, nc, y, var_y) for i, (ci, nc) in cells_pair.items()}
-    for i, j in pairs:
-        (ci, ni), (cj, nj) = cells_pair[i], cells_pair[j]
-        joint = _conditional_variance_ratio(ci * nj + cj, ni * nj, y, var_y)
-        second[i, j] = second[j, i] = joint - marg[i] - marg[j]
+    for i, (ci, ni) in cells.items():
+        for nj, js in by_size.items():
+            later = [j for j in js if j > i]
+            if not later:
+                continue
+            np.multiply(ci, nj, out=scaled)
+            for j in later:
+                np.add(scaled, cells[j][0], out=joint)
+                s_ij = _conditional_variance_ratio(joint, ni * nj, y, var_y)
+                second[i, j] = second[j, i] = s_ij - marg[i] - marg[j]
 
     combined = first + 0.5 * second.sum(axis=1)
     return SensitivityReport(

@@ -215,6 +215,11 @@ def cmd_compare(config):
 def cmd_sweep_dependence(config):
     if config.model not in ("two_factor_additive", "two_factor_multiplicative"):
         raise UserInputError("sweep-dependence requires a two-factor model")
+    if config.dependence:
+        raise UserInputError(
+            "sweep-dependence builds its own dependence plans over sweep_grid; "
+            "remove the config's dependence list"
+        )
     rows = [
         [
             "model",

@@ -85,9 +85,12 @@ class InputSpec:
 class Dataset:
     """An N x K input matrix plus the length-N output vector it produced.
 
-    Categorical columns are stored as level indices: integers in
-    [0, len(levels)), checked on construction. This is the sole input to
-    every estimator in the package.
+    The inputs are stored column-major (Fortran order), so that column(i) is
+    one contiguous vector: every consumer reads the matrix a column at a
+    time. A column-major float matrix, as sample_inputs returns, is kept
+    without a copy. Categorical columns are stored as level indices:
+    integers in [0, len(levels)), checked on construction. This is the sole
+    input to every estimator in the package.
     """
 
     inputs: np.ndarray
@@ -95,7 +98,7 @@ class Dataset:
     specs: tuple
 
     def __post_init__(self):
-        inputs = np.ascontiguousarray(np.asarray(self.inputs, dtype=float))
+        inputs = np.asfortranarray(self.inputs, dtype=float)
         output = np.ascontiguousarray(np.asarray(self.output, dtype=float))
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D matrix")

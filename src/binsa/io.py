@@ -147,8 +147,8 @@ def read_dataset_csv(path, specs=None):
     """Read a dataset CSV; the last column is the output.
 
     Without specs, every input column is treated as uniform over its observed
-    range (binning only needs the values themselves). Repeated input names
-    and a constant output are bad input.
+    range (binning only needs the values themselves). Repeated input names,
+    a constant output and an input whose max - min overflows are bad input.
     """
     try:
         return _read_dataset_csv(path, specs)
@@ -194,10 +194,20 @@ def _read_dataset_csv(path, specs):
         raise UserInputError(
             f"{path}: output column {header[-1]!r} is constant ({fmt_number(output[0])})"
         )
+    # Dataset's column-major layout, made here so that each range is read
+    # from one contiguous column; Dataset keeps this copy.
+    inputs = np.asfortranarray(inputs)
+    ranges = [(name, float(inputs[:, j].min()), float(inputs[:, j].max()))
+              for j, name in enumerate(names)]
+    for name, lo, hi in ranges:
+        if hi - lo == math.inf:
+            raise UserInputError(
+                f"{path}: column {name!r} spans [{lo!r}, {hi!r}], a range wider than the "
+                "largest float, so it cannot be cut into equal-width bins"
+            )
     if specs is None:
         specs = []
-        for j, name in enumerate(names):
-            lo, hi = float(inputs[:, j].min()), float(inputs[:, j].max())
+        for name, lo, hi in ranges:
             if lo == hi:
                 hi = lo + 1.0
             specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
@@ -391,6 +401,13 @@ def _at_least(value, key, minimum):
     return value
 
 
+def _fraction(value, key):
+    """A number from a config that must lie in (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise UserInputError(f"{key} must lie in (0, 1], got {value!r}")
+    return value
+
+
 def _section(raw, key):
     """A copy of the JSON object at raw[key] ({} when absent)."""
     section = raw.get(key, {})
@@ -458,8 +475,12 @@ def config_from_dict(raw, overrides=None):
             n_bins_second_per_dim=_bin_count(
                 binning_raw.get("n_bins_second_per_dim"), "binning.n_bins_second_per_dim"
             ),
-            simdec_max_inputs=int(simdec_raw.get("max_inputs", 3)),
-            simdec_cum_threshold=float(simdec_raw.get("cum_threshold", 0.8)),
+            simdec_max_inputs=_at_least(
+                int(simdec_raw.get("max_inputs", 3)), "simdec.max_inputs", 1
+            ),
+            simdec_cum_threshold=_fraction(
+                float(simdec_raw.get("cum_threshold", 0.8)), "simdec.cum_threshold"
+            ),
             n_output_bins=_at_least(
                 int(simdec_raw.get("n_output_bins", 100)), "simdec.n_output_bins", 1
             ),

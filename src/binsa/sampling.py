@@ -275,11 +275,15 @@ def _ppf(dist, u):
 
 
 def transform_marginals(points, specs):
-    """Map unit-hypercube points through each input's marginal distribution."""
+    """Map unit-hypercube points through each input's marginal distribution.
+
+    The result is column-major, the layout Dataset stores, so that a sampled
+    matrix becomes a Dataset without a copy.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[1] != len(specs):
         raise ValueError("column count must equal the number of input specs")
-    out = np.empty_like(points)
+    out = np.empty(points.shape, order="F")
     for j, spec in enumerate(specs):
         out[:, j] = _ppf(spec.distribution, points[:, j])
     return out
@@ -326,6 +330,7 @@ def sample_inputs(plan, specs, dependence=(), seed=None):
     """Generate a full input matrix: design points, marginals, dependence.
 
     The realized row count equals plan.n for MC/QMC and L^K <= plan.n for FFD.
+    The matrix is column-major, as transform_marginals returns it.
     """
     seed = plan.seed if seed is None else seed
     dim = len(specs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,37 @@ def test_analyze_degenerate_column_zeroed_with_warning():
     assert rep.first_order[1] == 0.0
     assert np.all(rep.second_order[1] == 0.0)
     assert rep.warnings
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array([1.5e308, -1.5e308, 0.0, 1.0] * 50), np.array([0.0, 5e-324, 1e-323, 0.0] * 50)],
+    ids=["width-overflows", "scale-overflows"],
+)
+def test_analyze_rejects_a_column_without_a_float_bin_geometry(column):
+    # max - min = inf, or bins / (max - min) = inf: no bin index would mean anything
+    rng = np.random.default_rng(14)
+    other = rng.random(column.size)
+    ds = _uniform_dataset([other, column], other + rng.random(column.size))
+    with pytest.raises(ValueError, match="input column 'x2' spans"):
+        analyze(ds, BinningConfig(n_bins_first=10, n_bins_second_per_dim=4))
+
+
+def test_analyze_peak_memory_keeps_one_first_order_index_at_a_time():
+    # 12 inputs x N rows: the inputs alone are 12 x 8N bytes; analyze holds
+    # the K pair-resolution indices, the sorted output and a few buffers,
+    # but never all K first-order (nb-bin) indices at once
+    n = 20_000
+    rng = np.random.default_rng(15)
+    x = rng.random((n, 12))
+    ds = _uniform_dataset(list(x.T), x @ np.arange(1.0, 13.0))
+    tracemalloc.start()
+    try:
+        analyze(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 8 * n, peak / (8 * n)
 
 
 def test_analyze_explicit_bin_config():

@@ -308,6 +308,18 @@ def test_constant_output_is_exit_2(tmp_path, capsys):
         assert "output column 'output' is constant (3.0)" in err
 
 
+def test_column_range_wider_than_the_largest_float_is_exit_2(tmp_path, capsys):
+    # max - min of column 'a' overflows to inf, which no equal-width bin can cut
+    p = tmp_path / "wide.csv"
+    p.write_text("a,b,output\n" + "".join(
+        f"{(-1) ** i * 1.5e308 if i < 2 else float(i)},{i % 7},{i * i}\n" for i in range(200)))
+    for command in ("analyze", "simdec"):
+        code, _, err = run([command, str(p), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2, err
+        assert "column 'a' spans [-1.5e+308, 1.5e+308], a range wider than the largest float" in err
+        assert not (tmp_path / "out").exists()
+
+
 def _modules_loaded_by(argv, tmp_path):
     """Names of the modules loaded by a fresh process that runs binsa argv."""
     src = os.path.dirname(os.path.dirname(binsa.__file__))
@@ -377,10 +389,24 @@ def test_sampling_commands_load_no_scipy_stats(tmp_path, argv):
          "oracle.sampler must be 'MC' or 'QMC', got 'FFD'"),
         ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": [0.5, 2.0]}, [],
          r"sweep_grid\[1\] must be a number in \[-1, 1\], got 2\.0"),
+        ("simdec", {"model": "ishigami", "simdec": {"max_inputs": 0}}, [],
+         "simdec.max_inputs must be >= 1, got 0"),
+        ("simdec", {"model": "ishigami", "simdec": {"max_inputs": -1}}, [],
+         "simdec.max_inputs must be >= 1, got -1"),
+        ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 5}}, [],
+         r"simdec\.cum_threshold must lie in \(0, 1\], got 5\.0"),
+        ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 0}}, [],
+         r"simdec\.cum_threshold must lie in \(0, 1\], got 0\.0"),
+        ("sweep-dependence", {"model": "two_factor_additive",
+                              "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 0.9}]}, [],
+         "sweep-dependence builds its own dependence plans over sweep_grid; "
+         "remove the config's dependence list"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
-         "zero-output-bins", "law", "oracle-n", "oracle-sampler", "sweep-grid"],
+         "zero-output-bins", "law", "oracle-n", "oracle-sampler", "sweep-grid",
+         "zero-max-inputs", "negative-max-inputs", "cum-threshold-above-1", "zero-cum-threshold",
+         "sweep-dependence-list"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import qmc
 
 from binsa import (
+    Dataset,
     DependencePlan,
     InputSpec,
     MarginalDistribution,
@@ -253,6 +254,21 @@ def test_sample_inputs_end_to_end():
         assert m.min() >= 0.0 and m.max() <= 5.0
     ffd = sample_inputs(SamplingPlan(method="FFD", n=500, seed=1), specs)
     assert ffd.shape == (484, 2)  # 22^2 <= 500
+
+
+@pytest.mark.parametrize("method", ["MC", "QMC", "FFD"])
+def test_sample_inputs_is_column_major_and_a_dataset_keeps_it(method):
+    specs = (
+        InputSpec("a", MarginalDistribution.uniform(0, 5)),
+        InputSpec("b", MarginalDistribution.uniform(0, 5)),
+        InputSpec("c", MarginalDistribution.normal(0, 1)),
+    )
+    plan = SamplingPlan(method=method, n=600, seed=2)
+    dep = (DependencePlan("copula", (0, 1), rho=0.5),)
+    for matrix in (sample_inputs(plan, specs), sample_inputs(plan, specs, dependence=dep)):
+        assert matrix.flags.f_contiguous
+        ds = Dataset(inputs=matrix, output=matrix.sum(axis=1), specs=specs)
+        assert np.shares_memory(ds.inputs, matrix)
 
 
 def test_sampling_plan_validation():
