@@ -26,6 +26,28 @@ __all__ = [
 
 _PROB_TOL = 1e-12
 
+# Rows per block of column_major's copy: a block of a row-major matrix with
+# up to a few dozen columns stays in cache while its columns are written.
+_COPY_BLOCK_ROWS = 4096
+
+
+def column_major(matrix):
+    """matrix as a column-major (Fortran-ordered) float array.
+
+    A float matrix that is already column-major, or that is not 2-D, is
+    returned as is. Any other matrix is copied a block of rows at a time,
+    which reads a row-major matrix in cache-sized pieces instead of striding
+    across all of it once per column as np.asfortranarray does; the values
+    are the same.
+    """
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.flags.f_contiguous:
+        return matrix
+    out = np.empty(matrix.shape, order="F")
+    for start in range(0, matrix.shape[0], _COPY_BLOCK_ROWS):
+        out[start : start + _COPY_BLOCK_ROWS] = matrix[start : start + _COPY_BLOCK_ROWS]
+    return out
+
 
 @dataclass(frozen=True)
 class MarginalDistribution:
@@ -98,7 +120,7 @@ class Dataset:
     specs: tuple
 
     def __post_init__(self):
-        inputs = np.asfortranarray(self.inputs, dtype=float)
+        inputs = column_major(self.inputs)
         output = np.ascontiguousarray(np.asarray(self.output, dtype=float))
         if inputs.ndim != 2:
             raise ValueError("inputs must be a 2-D matrix")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binning import conservation_check
-from .core import Dataset, InputSpec, MarginalDistribution
+from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import DependencePlan, SamplingPlan
 from .simdec import State, StateDefinition
 
@@ -196,7 +196,7 @@ def _read_dataset_csv(path, specs):
         )
     # Dataset's column-major layout, made here so that each range is read
     # from one contiguous column; Dataset keeps this copy.
-    inputs = np.asfortranarray(inputs)
+    inputs = column_major(inputs)
     ranges = [(name, float(inputs[:, j].min()), float(inputs[:, j].max()))
               for j, name in enumerate(names)]
     for name, lo, hi in ranges:
@@ -210,6 +210,9 @@ def _read_dataset_csv(path, specs):
         for name, lo, hi in ranges:
             if lo == hi:
                 hi = lo + 1.0
+                if hi == lo:
+                    # |lo| >= 2**53 swallows the 1: step one float toward 0
+                    lo, hi = sorted((lo, math.nextafter(lo, 0.0)))
             specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
         specs = tuple(specs)
     return Dataset(inputs=inputs, output=output, specs=specs)

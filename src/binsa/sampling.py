@@ -1,9 +1,10 @@
 """Input-matrix generation: random, scrambled Sobol' and full factorial designs,
 marginal transforms, and pairwise dependence injection.
 
-Sobol' points are generated here with numpy. scipy.special is imported only
-where normal quantiles or the normal CDF are needed, so that `import binsa`
-and the commands that only read a dataset do not pay for loading it.
+Everything here is numpy: Sobol' points are bitwise those of scipy's
+qmc.Sobol, and the normal quantile and CDF (normal marginals, the gaussian
+copula) are ports of the Cephes routines, bitwise scipy.special.ndtri and
+ndtr. No scipy module is loaded.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtr, ndtri
 from .core import InputSpec
 
 __all__ = [
@@ -262,11 +264,7 @@ def _ppf(dist, u):
     if dist.kind == "uniform":
         return dist.lo + u * (dist.hi - dist.lo)
     if dist.kind == "normal":
-        from scipy.special import ndtri
-
-        with np.errstate(divide="ignore"):
-            z = ndtri(u)
-        z = np.clip(z, -_NORMAL_CLAMP, _NORMAL_CLAMP)
+        z = np.clip(ndtri(u), -_NORMAL_CLAMP, _NORMAL_CLAMP)
         return dist.mean + dist.sd * z
     # categorical: inverse CDF over the level probabilities, as level indices
     cum = np.cumsum(np.asarray(dist.probabilities, dtype=float))
@@ -308,8 +306,6 @@ def apply_dependence(matrix, specs, plan, seed=0):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     if plan.kind == "copula":
-        from scipy.special import ndtr, ndtri
-
         ua = (a - dist_a.lo) / (dist_a.hi - dist_a.lo)
         za = ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16))
         eps = rng.standard_normal(n)

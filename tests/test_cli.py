@@ -308,6 +308,20 @@ def test_constant_output_is_exit_2(tmp_path, capsys):
         assert "output column 'output' is constant (3.0)" in err
 
 
+@pytest.mark.parametrize("value", ["3", "1e17", "-1e17", "1.7976931348623157e308"])
+def test_constant_input_column_is_analyzed_as_degenerate(tmp_path, capsys, value):
+    # from |value| >= 2**53 on, value + 1 == value: the column still needs a
+    # non-empty spec range
+    p = tmp_path / "const.csv"
+    p.write_text("a,b,output\n" + "".join(f"{value},{i % 7},{i * i}\n" for i in range(200)))
+    with pytest.warns(UserWarning, match="degenerate input column 'a'"):
+        code, _, err = run(["analyze", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["warnings"] == ["degenerate input column 'a': indices set to 0"]
+    assert report["first_order"]["a"] == 0.0
+
+
 def test_column_range_wider_than_the_largest_float_is_exit_2(tmp_path, capsys):
     # max - min of column 'a' overflows to inf, which no equal-width bin can cut
     p = tmp_path / "wide.csv"
@@ -344,7 +358,9 @@ def test_compare_on_uniform_model_loads_no_scipy(tmp_path):
     assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
 
 
-@pytest.mark.parametrize(
+# the two commands that draw normal quantiles (toy portfolio marginals) and
+# run the gaussian copula (the dependence sweep)
+sampling_commands = pytest.mark.parametrize(
     "argv",
     [
         ["sample", "--model", "toy_portfolio"],
@@ -352,11 +368,35 @@ def test_compare_on_uniform_model_loads_no_scipy(tmp_path):
     ],
     ids=["sample", "sweep-dependence"],
 )
+
+
+@sampling_commands
 def test_sampling_commands_load_no_scipy_stats(tmp_path, argv):
-    # normal quantiles and the copula still load scipy.special
+    # normal quantiles and the copula are numpy ports: no scipy module at all
     modules = _modules_loaded_by(argv, tmp_path)
-    assert "scipy.special" in modules
-    assert [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")] == []
+    assert [m for m in modules if m == "scipy" or m.startswith("scipy.")] == []
+
+
+@sampling_commands
+def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
+    # sys.modules["scipy"] = None makes every scipy import fail, as if scipy
+    # were not installed; the files written must not change
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    outputs = {}
+    for blocked in (False, True):
+        out = tmp_path / ("blocked" if blocked else "free")
+        code = (
+            ("import sys; sys.modules['scipy'] = None\n" if blocked else "import sys\n")
+            + "import binsa.cli\n"
+            + "sys.exit(binsa.cli.main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--n", "2000", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs[blocked] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    assert outputs[True] and outputs[True] == outputs[False]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from binsa import (
     stable_sum,
     stable_variance,
 )
-from binsa.core import _mid_ranks
+from binsa.core import _COPY_BLOCK_ROWS, _mid_ranks, column_major
 
 
 def test_stable_sum_matches_exact_value():
@@ -214,6 +214,22 @@ def test_dataset_arrays_are_read_only():
     ds = Dataset(inputs=x, output=x.sum(axis=1), specs=_specs(2))
     with pytest.raises(ValueError):
         ds.inputs[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("rows", [1, 5, _COPY_BLOCK_ROWS, 3 * _COPY_BLOCK_ROWS + 7])
+def test_column_major_copy_equals_asfortranarray_bitwise(rows):
+    # C-ordered, strided (every other column of a wider matrix, every other
+    # row) and integer inputs; row counts below, at and off a block multiple
+    wide = np.random.default_rng(rows).standard_normal((2 * rows, 13))
+    for matrix in (wide[:rows], wide[:rows, ::2], wide[::2, 1:], wide[:rows].astype(np.int64)):
+        got = column_major(matrix)
+        assert got.flags.f_contiguous and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), np.asfortranarray(matrix, dtype=float).view(np.int64))
+        # only a float matrix that is already column-major (one row) is kept
+        kept = matrix.flags.f_contiguous and matrix.dtype == np.float64
+        assert np.shares_memory(got, matrix) == kept
+    fortran = np.asfortranarray(wide)
+    assert column_major(fortran) is fortran
 
 
 def test_report_requires_exact_symmetry_and_zero_diagonal():
