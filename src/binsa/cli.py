@@ -29,7 +29,7 @@ from .io import (
     write_dataset_csv,
 )
 from .oracle import estimate_sobol
-from .sampling import DependencePlan, sample_inputs
+from .sampling import DependencePlan, apply_dependence, dependence_seed, sample_inputs
 from .simdec import decompose, default_states, select_inputs
 from .svg import bar_chart, stacked_histogram
 
@@ -236,6 +236,10 @@ def cmd_sweep_dependence(config):
     ]
     model = _model(config.model, config.model_params)
     specs = default_specs(model)
+    # every grid value perturbs the same design, as sample_inputs would
+    # with that value's plan as its only dependence
+    design = _sample(config, specs, ())
+    seed = dependence_seed(config.sampling.seed, 0)
     for kind in ("copula", "equal_portion"):
         for value in config.sweep_grid:
             if kind == "copula":
@@ -247,7 +251,7 @@ def cmd_sweep_dependence(config):
                     fraction=abs(value),
                     sign="negative" if value < 0 else "positive",
                 )
-            matrix = _sample(config, specs, (plan,))
+            matrix = apply_dependence(design, specs, plan, seed=seed)
             output = evaluate(model, matrix)
             a, b = matrix[:, 0], matrix[:, 1]
             if output.max() == output.min():

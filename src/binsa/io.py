@@ -20,7 +20,7 @@ import numpy as np
 
 from .binning import conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
-from .sampling import DependencePlan, SamplingPlan
+from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
 from .simdec import State, StateDefinition
 
 __all__ = [
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-_ROWS_PER_WRITE = 1_000
+_ROWS_PER_WRITE = 2048
 _SCAN_BYTES = 1 << 20
 
 
@@ -62,37 +62,64 @@ def _csv_cell(text):
     return out.getvalue()[:-2]
 
 
+def _label_cells(levels):
+    """The cells of a categorical column's level labels, as csv.writer
+    writes them, as rows of a byte matrix and the mask of each row's bytes."""
+    cells = [_csv_cell(lv).encode("utf-8") for lv in levels]
+    lengths = np.array([len(cell) for cell in cells])
+    chars = np.zeros((len(cells), lengths.max()), dtype=np.uint8)
+    for i, cell in enumerate(cells):
+        chars[i, :len(cell)] = np.frombuffer(cell, dtype=np.uint8)
+    return chars, np.arange(lengths.max()) < lengths[:, None]
+
+
 def write_dataset_csv(path, dataset, metadata=None):
     """Write inputs plus a final 'output' column; categorical columns are
     written as level labels.
 
     Numbers are written as repr(float), fmt_number's shortest round-trip
     form, which never needs quoting; each level label is quoted once, as
-    csv.writer quotes it. Cells are formatted a column at a time and joined
-    into rows in blocks of _ROWS_PER_WRITE rows, so that only one block's
-    strings are held at once.
+    csv.writer quotes it. Each block of _ROWS_PER_WRITE rows is laid out as
+    one byte matrix, a fixed-width slot per cell and a separator after it:
+    the numbers from _repr.repr_bytes, the labels from a per-column table.
+    The bytes that each slot's mask keeps are written out, so no cell
+    becomes a Python string.
     """
-    labels = [
-        [_csv_cell(lv) for lv in s.distribution.levels]
-        if s.distribution.kind == "categorical" else None
-        for s in dataset.specs
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        meta = _meta_line(metadata)
-        if meta:
-            fh.write(meta + "\n")
-        csv.writer(fh, lineterminator="\n").writerow(list(dataset.names) + ["output"])
+    # imported here, not with binsa: compiling the formatter is most of its
+    # import time, and only a dataset write needs it
+    from . import _repr
+
+    labels = {
+        j: _label_cells(s.distribution.levels)
+        for j, s in enumerate(dataset.specs)
+        if s.distribution.kind == "categorical"
+    }
+    k = len(dataset.specs) + 1
+    slot = max([_repr.WIDTH] + [chars.shape[1] for chars, _ in labels.values()])
+    separators = np.full(k, ord(","), dtype=np.uint8)
+    separators[-1] = ord("\n")
+    head = io.StringIO()
+    meta = _meta_line(metadata)
+    if meta:
+        head.write(meta + "\n")
+    csv.writer(head, lineterminator="\n").writerow(list(dataset.names) + ["output"])
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode("utf-8"))
         for start in range(0, dataset.n_rows, _ROWS_PER_WRITE):
             block = slice(start, start + _ROWS_PER_WRITE)
-            cols = []
-            for j, cells in enumerate(labels):
-                values = dataset.inputs[block, j]
-                if cells is None:
-                    cols.append(map(float.__repr__, values.tolist()))
-                else:
-                    cols.append(map(cells.__getitem__, values.astype(np.int64).tolist()))
-            cols.append(map(float.__repr__, dataset.output[block].tolist()))
-            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
+            values = np.column_stack([dataset.inputs[block], dataset.output[block]])
+            rows = values.shape[0]
+            chars, keep = _repr.repr_bytes(values, width=slot + 1)
+            chars, keep = chars.reshape(rows, k, slot + 1), keep.reshape(rows, k, slot + 1)
+            for j, (label_chars, label_keep) in labels.items():
+                codes = values[:, j].astype(np.intp)
+                width = label_chars.shape[1]
+                chars[:, j, :width] = label_chars[codes]
+                keep[:, j, :width] = label_keep[codes]
+                keep[:, j, width:] = False
+            chars[:, :, slot] = separators
+            keep[:, :, slot] = True
+            fh.write(np.compress(keep.ravel(), chars.ravel()))
 
 
 # Whitespace that np.loadtxt strips around a number and float() does not.
@@ -397,6 +424,29 @@ def _bin_count(value, key):
     return value
 
 
+def _whole_number(value, key, minimum):
+    """A whole number from a config or flag, >= minimum: an integer, or a
+    float with no fraction part (JSON 1e5), but not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UserInputError(f"{key} must be a whole number >= {minimum}, got {value!r}")
+    return value
+
+
+def _sampling_plan(section, n_key, seed_key):
+    """The sampling section, with the flags already merged in, as a plan."""
+    method = section.get("method", "QMC").upper()
+    n = _whole_number(section.get("n", 1000), n_key, 2)
+    if method == "QMC" and n > MAX_SOBOL_POINTS:
+        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
+    scramble = section.get("scramble", True)
+    if not isinstance(scramble, bool):
+        raise UserInputError(f"sampling.scramble must be true or false, got {scramble!r}")
+    seed = _whole_number(section.get("seed", 0), seed_key, 0)
+    return SamplingPlan(method=method, n=n, seed=seed, scramble=scramble)
+
+
 def _at_least(value, key, minimum):
     """A number from a config that must not fall below minimum."""
     if value < minimum:
@@ -440,12 +490,16 @@ def config_from_dict(raw, overrides=None):
     binning_raw = _section(raw, "binning")
     simdec_raw = _section(raw, "simdec")
     oracle_raw = _section(raw, "oracle")
-    if "seed" in overrides and overrides["seed"] is not None:
+    seed_key, n_key = "sampling.seed", "sampling.n"
+    if overrides.get("seed") is not None:
         sampling_raw["seed"] = overrides["seed"]
-    elif "seed" in raw:
-        sampling_raw.setdefault("seed", raw["seed"])
+        seed_key = "--seed"
+    elif "seed" in raw and "seed" not in sampling_raw:
+        sampling_raw["seed"] = raw["seed"]
+        seed_key = "seed"
     if overrides.get("n") is not None:
         sampling_raw["n"] = overrides["n"]
+        n_key = "--n"
     if overrides.get("sampler") is not None:
         sampling_raw["method"] = overrides["sampler"].upper()
     first_key = "binning.n_bins_first"
@@ -454,12 +508,7 @@ def config_from_dict(raw, overrides=None):
         first_key = "--bins"
     out_dir = overrides.get("out") or raw.get("out", ".")
     try:
-        plan = SamplingPlan(
-            method=sampling_raw.get("method", "QMC").upper(),
-            n=int(sampling_raw.get("n", 1000)),
-            seed=int(sampling_raw.get("seed", 0)),
-            scramble=bool(sampling_raw.get("scramble", True)),
-        )
+        plan = _sampling_plan(sampling_raw, n_key, seed_key)
         dependence = _parse_dependence(raw.get("dependence", []))
         law = raw.get("law", "normal")
         if law not in ("normal", "uniform"):

@@ -26,6 +26,7 @@ __all__ = [
     "full_factorial",
     "transform_marginals",
     "apply_dependence",
+    "dependence_seed",
     "sample_inputs",
 ]
 
@@ -33,6 +34,7 @@ MAX_SOBOL_DIM = 64
 
 # Bits per Sobol' coordinate: at most 2**_SOBOL_BITS distinct points.
 _SOBOL_BITS = 30
+MAX_SOBOL_POINTS = 2**_SOBOL_BITS
 
 # Joe & Kuo, "Constructing Sobol sequences with better two-dimensional
 # projections", SIAM J. Sci. Comput. 30 (2008), direction numbers
@@ -215,7 +217,7 @@ def sobol_points(dim, n, scramble=False, seed=0):
         raise ValueError(f"sobol dimension must be in [1, {MAX_SOBOL_DIM}]")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 2**_SOBOL_BITS:
+    if n > MAX_SOBOL_POINTS:
         raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol' points can be generated, got n={n}")
     v = _sobol_directions()[:dim]
     shift = 0
@@ -322,6 +324,12 @@ def apply_dependence(matrix, specs, plan, seed=0):
     return out
 
 
+def dependence_seed(seed, k):
+    """The seed with which sample_inputs applies its k-th dependence plan
+    (from 0), for a design drawn with seed."""
+    return seed + 1000003 * (k + 1)
+
+
 def sample_inputs(plan, specs, dependence=(), seed=None):
     """Generate a full input matrix: design points, marginals, dependence.
 
@@ -338,5 +346,5 @@ def sample_inputs(plan, specs, dependence=(), seed=None):
         pts = full_factorial(dim, plan.n)
     matrix = transform_marginals(pts, specs)
     for k, dep in enumerate(dependence):
-        matrix = apply_dependence(matrix, specs, dep, seed=seed + 1000003 * (k + 1))
+        matrix = apply_dependence(matrix, specs, dep, seed=dependence_seed(seed, k))
     return matrix

@@ -441,20 +441,41 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
                               "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 0.9}]}, [],
          "sweep-dependence builds its own dependence plans over sweep_grid; "
          "remove the config's dependence list"),
+        ("sample", {"model": "ishigami"}, ["--seed", "-3"],
+         "--seed must be a whole number >= 0, got -3"),
+        ("sample", {"model": "ishigami", "sampling": {"seed": -1}}, [],
+         r"sampling\.seed must be a whole number >= 0, got -1"),
+        ("sample", {"model": "ishigami", "seed": -1}, [],
+         "error: seed must be a whole number >= 0, got -1"),
+        ("sample", {"model": "ishigami", "sampling": {"seed": 1.5}}, [],
+         r"sampling\.seed must be a whole number >= 0, got 1\.5"),
+        ("sample", {"model": "ishigami", "sampling": {"seed": True}}, [],
+         r"sampling\.seed must be a whole number >= 0, got True"),
+        ("sample", {"model": "ishigami", "sampling": {"n": 500.7}}, [],
+         r"sampling\.n must be a whole number >= 2, got 500\.7"),
+        ("sample", {"model": "ishigami", "sampling": {"n": "1000"}}, [],
+         r"sampling\.n must be a whole number >= 2, got '1000'"),
+        ("sample", {"model": "ishigami", "sampling": {"n": 2000000000}}, [],
+         r"sampling\.n must be <= 1073741824 for QMC, got 2000000000"),
+        ("sample", {"model": "ishigami"}, ["--n", "2000000000"],
+         "--n must be <= 1073741824 for QMC, got 2000000000"),
+        ("sample", {"model": "ishigami", "sampling": {"scramble": "false"}}, [],
+         r"sampling\.scramble must be true or false, got 'false'"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
          "zero-output-bins", "law", "oracle-n", "oracle-sampler", "sweep-grid",
          "zero-max-inputs", "negative-max-inputs", "cum-threshold-above-1", "zero-cum-threshold",
-         "sweep-dependence-list"],
+         "sweep-dependence-list", "negative-seed-flag", "negative-seed", "negative-top-level-seed",
+         "fractional-seed", "bool-seed", "fractional-n", "string-n", "qmc-n-too-large",
+         "qmc-n-flag-too-large", "string-scramble"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code, _, err = run([command, "--config", str(cfg), "--n", "1000", *flags, "--out", str(out)],
-                       capsys)
+    code, _, err = run([command, "--config", str(cfg), *flags, "--out", str(out)], capsys)
     assert code == 2, err
     assert re.search(message, err), err
     assert not out.exists()

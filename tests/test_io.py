@@ -254,6 +254,27 @@ def test_read_csv_peak_memory_is_a_small_multiple_of_the_data(tmp_path):
     assert peak < 3 * data_bytes, peak / data_bytes
 
 
+def _write_peak(path, n):
+    rng = np.random.default_rng(0)
+    specs = tuple(InputSpec(f"x{i}", MarginalDistribution.uniform(0, 1)) for i in range(6))
+    ds = Dataset(inputs=rng.random((n, 6)), output=rng.normal(size=n), specs=specs)
+    write_dataset_csv(path, ds)  # the first call builds the formatter's tables
+    tracemalloc.start()
+    try:
+        write_dataset_csv(path, ds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    # one block of rows is formatted at a time, so the peak at 2e4 rows is
+    # about one block's working set, and 4x the rows add less than a quarter
+    small = _write_peak(tmp_path / "small.csv", 20_000)
+    large = _write_peak(tmp_path / "large.csv", 80_000)
+    assert abs(large - small) < small / 4, (small, large)
+
+
 @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
 def test_read_csv_rejects_non_finite_cell_with_location(tmp_path, cell):
     p = tmp_path / "d.csv"
@@ -423,3 +444,9 @@ def test_load_states_file_errors(tmp_path):
     p.write_text("[")
     with pytest.raises(UserInputError, match="cannot read states"):
         load_states_file(p, ds)
+
+
+def test_config_sampling_whole_numbers_may_be_written_as_floats():
+    cfg = config_from_dict({"model": "ishigami", "sampling": {"n": 1e5, "seed": 3.0}})
+    assert (cfg.sampling.n, cfg.sampling.seed) == (100_000, 3)
+    assert type(cfg.sampling.n) is int and type(cfg.sampling.seed) is int

@@ -1,14 +1,25 @@
-"""Property tests of the estimator's determinism: the indices are a function
-of the set of (input row, output) pairs alone, not of their order or of how
-the input matrix is laid out in memory."""
+"""Property tests: the estimator's indices are a function of the set of
+(input row, output) pairs alone, not of their order or of how the input
+matrix is laid out in memory; a dataset CSV reads back to the same bytes."""
 
+import csv
+import math
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from binsa import BinningConfig, Dataset, InputSpec, MarginalDistribution, analyze
+from binsa import (
+    BinningConfig,
+    Dataset,
+    InputSpec,
+    MarginalDistribution,
+    analyze,
+    read_dataset_csv,
+    write_dataset_csv,
+)
+from binsa.io import fmt_number
 
 
 def _report_bytes(inputs, output, specs, config):
@@ -57,3 +68,50 @@ def test_indices_bitwise_equal_across_row_order_and_memory_layout(
         (np.asfortranarray(x[perm]), y[perm]),
     ]:
         assert _report_bytes(inputs, output, specs, config) == expected
+
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5])
+
+
+def _finite(**bounds):
+    return st.one_of(_EDGE_FLOATS.filter(
+        lambda v: bounds.get("min_value", -math.inf) <= v <= bounds.get("max_value", math.inf)),
+        st.floats(allow_nan=False, allow_infinity=False, **bounds))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 40))
+def test_dataset_csv_write_read_write_is_byte_stable(tmp_path_factory, data, n):
+    # One column of each sign, so that no input spans more than the largest
+    # float (the reader refuses such a column); the output takes any float.
+    levels = ("plain", "a,b", 'say "x"', "", " lead", "line\nbreak", "café")
+    specs = (
+        InputSpec("pos", MarginalDistribution.uniform(0, 1)),
+        InputSpec("neg", MarginalDistribution.uniform(-1, 0)),
+        InputSpec("c", MarginalDistribution.categorical(levels, (1 / len(levels),) * len(levels))),
+    )
+
+    def column(strategy):
+        return data.draw(st.lists(strategy, min_size=n, max_size=n))
+
+    inputs = np.column_stack([
+        column(_finite(min_value=-0.0)),
+        column(_finite(max_value=0.0)),
+        column(st.integers(0, len(levels) - 1)),
+    ]).astype(float)
+    output = np.array(column(_finite()))
+    assume(output.min() != output.max())
+    ds = Dataset(inputs=inputs, output=output, specs=specs)
+    tmp = tmp_path_factory.mktemp("csv")
+    first, second = tmp / "a.csv", tmp / "b.csv"
+    write_dataset_csv(first, ds)
+    back = read_dataset_csv(first, specs=specs)
+    write_dataset_csv(second, back)
+    assert first.read_bytes() == second.read_bytes()
+    with open(first, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [r[0] for r in rows] == [fmt_number(v) for v in ds.inputs[:, 0]]
+    assert [r[1] for r in rows] == [fmt_number(v) for v in ds.inputs[:, 1]]
+    assert [r[2] for r in rows] == [levels[int(v)] for v in ds.inputs[:, 2]]
+    assert [r[3] for r in rows] == [fmt_number(v) for v in ds.output]
