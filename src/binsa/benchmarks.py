@@ -40,14 +40,6 @@ class Model:
     params: dict = field(default_factory=dict)
 
 
-MODEL_NAMES = (
-    "toy_portfolio",
-    "ishigami",
-    "two_factor_additive",
-    "two_factor_multiplicative",
-    "nested_interaction",
-)
-
 _ARITY = {
     "toy_portfolio": 6,
     "ishigami": 3,
@@ -55,6 +47,7 @@ _ARITY = {
     "two_factor_multiplicative": 2,
     "nested_interaction": 3,
 }
+MODEL_NAMES = tuple(_ARITY)
 
 
 def get_model(name, **params):

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .benchmarks import default_specs, evaluate, get_model
-from .binning import BinningConfig, analyze, conservation_check
+from .binning import analyze, conservation_check
 from .core import Dataset, pearson, spearman
 from .io import (
     SCHEMA_VERSION,
@@ -84,20 +84,20 @@ def _build_dataset(config):
     specs = default_specs(model, law=config.law)
     matrix = _sample(config, specs, config.dependence)
     output = evaluate(model, matrix)
-    return Dataset(inputs=matrix, output=output, specs=specs), model, specs
+    return Dataset(inputs=matrix, output=output, specs=specs), model
 
 
 def _load_or_build(config):
     if config.dataset_path is not None:
-        return read_dataset_csv(config.dataset_path), None, None
-    return _build_dataset(config)
+        return read_dataset_csv(config.dataset_path)
+    return _build_dataset(config)[0]
 
 
-def _binning_config(config):
-    return BinningConfig(
-        n_bins_first=config.n_bins_first,
-        n_bins_second_per_dim=config.n_bins_second_per_dim,
-    )
+def _report(config, dataset, command):
+    """The sensitivity report of a dataset: every command's one way to analyze."""
+    if dataset.n_rows < 100:
+        raise UserInputError(f"{command} requires at least 100 rows")
+    return analyze(dataset, config.binning)
 
 
 def _write(path, text):
@@ -108,7 +108,7 @@ def _write(path, text):
 def cmd_sample(config):
     if config.model is None:
         raise UserInputError("sample requires a model")
-    dataset, _, _ = _build_dataset(config)
+    dataset, _ = _build_dataset(config)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "dataset.csv")
     write_dataset_csv(path, dataset, metadata=_metadata(config))
@@ -117,10 +117,8 @@ def cmd_sample(config):
 
 
 def cmd_analyze(config):
-    dataset, _, _ = _load_or_build(config)
-    if dataset.n_rows < 100:
-        raise UserInputError("analyze requires at least 100 rows")
-    report = analyze(dataset, _binning_config(config))
+    dataset = _load_or_build(config)
+    report = _report(config, dataset, "analyze")
     os.makedirs(config.out_dir, exist_ok=True)
     meta = _metadata(config, {"rows": dataset.n_rows})
     report_dict = report_to_dict(report, metadata=meta)
@@ -141,10 +139,8 @@ def cmd_analyze(config):
 
 
 def cmd_simdec(config, states_path=None):
-    dataset, _, _ = _load_or_build(config)
-    if dataset.n_rows < 100:
-        raise UserInputError("simdec requires at least 100 rows")
-    report = analyze(dataset, _binning_config(config))
+    dataset = _load_or_build(config)
+    report = _report(config, dataset, "simdec")
     if states_path is not None:
         states = load_states_file(states_path, dataset)
     else:
@@ -180,11 +176,10 @@ def cmd_compare(config):
         raise UserInputError("compare requires a model-based config")
     if config.dependence:
         raise UserInputError("oracle requires independent inputs")
-    dataset, model, specs = _build_dataset(config)
-    report = analyze(dataset, _binning_config(config))
-    oracle = estimate_sobol(
-        model, specs, config.oracle_n, seed=config.sampling.seed, sampler=config.oracle_sampler
-    )
+    dataset, model = _build_dataset(config)
+    report = _report(config, dataset, "compare")
+    oracle = estimate_sobol(model, dataset.specs, config.oracle_n, seed=config.sampling.seed,
+                            sampler=config.oracle_sampler)
     names = list(report.names)
     first = {}
     for i, name in enumerate(names):
@@ -258,7 +253,7 @@ def cmd_sweep_dependence(config):
                 rows.append([config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"])
                 continue
             dataset = Dataset(inputs=matrix, output=output, specs=specs)
-            report = analyze(dataset, _binning_config(config))
+            report = _report(config, dataset, "sweep-dependence")
             rows.append(
                 [
                     config.model,

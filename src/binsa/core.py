@@ -100,7 +100,6 @@ class InputSpec:
 
     name: str
     distribution: MarginalDistribution
-    unit: str = ""
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,16 @@ import io
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binning import conservation_check
+from .binning import BinningConfig, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
-from .simdec import State, StateDefinition
+from .simdec import _HUES, State, StateDefinition, _state_of
 
 __all__ = [
     "UserInputError",
@@ -367,8 +368,7 @@ class StudyConfig:
     dataset_path: str | None = None
     sampling: SamplingPlan = SamplingPlan(method="QMC", n=1000, seed=0)
     dependence: tuple = ()
-    n_bins_first: int | None = None
-    n_bins_second_per_dim: int | None = None
+    binning: BinningConfig = BinningConfig()
     simdec_max_inputs: int = 3
     simdec_cum_threshold: float = 0.8
     n_output_bins: int = 100
@@ -392,16 +392,18 @@ def _parse_dependence(items):
         if not all(isinstance(i, int) and not isinstance(i, bool) for i in pair):
             raise UserInputError(f"dependence[{k}].pair must hold input indices, got {list(pair)}")
         if kind == "copula":
-            plans.append(DependencePlan(kind="copula", pair=pair, rho=float(d.get("rho", 0.0))))
+            rho = _number_in(d.get("rho", 0.0), f"dependence[{k}].rho", -1, 1)
+            plans.append(DependencePlan(kind="copula", pair=pair, rho=float(rho)))
         elif kind == "equal_portion":
-            plans.append(
-                DependencePlan(
-                    kind="equal_portion",
-                    pair=pair,
-                    fraction=float(d.get("fraction", 0.0)),
-                    sign=d.get("sign", "positive"),
+            fraction = _number_in(d.get("fraction", 0.0), f"dependence[{k}].fraction", 0, 1)
+            sign = d.get("sign", "positive")
+            if sign not in ("positive", "negative"):
+                raise UserInputError(
+                    f"dependence[{k}].sign must be 'positive' or 'negative', got {sign!r}"
                 )
-            )
+            plans.append(DependencePlan(
+                kind="equal_portion", pair=pair, fraction=float(fraction), sign=sign
+            ))
         else:
             raise UserInputError(f"unknown dependence kind {kind!r}")
     return tuple(plans)
@@ -434,9 +436,26 @@ def _whole_number(value, key, minimum):
     return value
 
 
+def _number_in(value, key, lo, hi):
+    """A number from a config in [lo, hi]: an int or a float, not a bool or
+    a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value <= hi:
+        raise UserInputError(f"{key} must be a number in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _method(value, key, choices):
+    """A sampler name from a config, in any case: one of choices, upper-cased."""
+    method = value.upper() if isinstance(value, str) else value
+    if method not in choices:
+        names = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+        raise UserInputError(f"{key} must be {names}, got {method!r}")
+    return method
+
+
 def _sampling_plan(section, n_key, seed_key):
     """The sampling section, with the flags already merged in, as a plan."""
-    method = section.get("method", "QMC").upper()
+    method = _method(section.get("method", "QMC"), "sampling.method", ("MC", "QMC", "FFD"))
     n = _whole_number(section.get("n", 1000), n_key, 2)
     if method == "QMC" and n > MAX_SOBOL_POINTS:
         raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
@@ -445,13 +464,6 @@ def _sampling_plan(section, n_key, seed_key):
         raise UserInputError(f"sampling.scramble must be true or false, got {scramble!r}")
     seed = _whole_number(section.get("seed", 0), seed_key, 0)
     return SamplingPlan(method=method, n=n, seed=seed, scramble=scramble)
-
-
-def _at_least(value, key, minimum):
-    """A number from a config that must not fall below minimum."""
-    if value < minimum:
-        raise UserInputError(f"{key} must be >= {minimum}, got {value!r}")
-    return value
 
 
 def _fraction(value, key):
@@ -470,11 +482,7 @@ def _section(raw, key):
 
 
 def _sweep_grid(values):
-    grid = tuple(values)
-    for i, v in enumerate(grid):
-        if not isinstance(v, (int, float)) or not -1.0 <= v <= 1.0:
-            raise UserInputError(f"sweep_grid[{i}] must be a number in [-1, 1], got {v!r}")
-    return grid
+    return tuple(_number_in(v, f"sweep_grid[{i}]", -1, 1) for i, v in enumerate(values))
 
 
 def config_from_dict(raw, overrides=None):
@@ -501,7 +509,7 @@ def config_from_dict(raw, overrides=None):
         sampling_raw["n"] = overrides["n"]
         n_key = "--n"
     if overrides.get("sampler") is not None:
-        sampling_raw["method"] = overrides["sampler"].upper()
+        sampling_raw["method"] = overrides["sampler"]
     first_key = "binning.n_bins_first"
     if overrides.get("bins") is not None:
         binning_raw["n_bins_first"] = overrides["bins"]
@@ -513,9 +521,6 @@ def config_from_dict(raw, overrides=None):
         law = raw.get("law", "normal")
         if law not in ("normal", "uniform"):
             raise UserInputError(f"law must be 'normal' or 'uniform', got {law!r}")
-        oracle_sampler = oracle_raw.get("sampler", "QMC").upper()
-        if oracle_sampler not in ("MC", "QMC"):
-            raise UserInputError(f"oracle.sampler must be 'MC' or 'QMC', got {oracle_sampler!r}")
         return StudyConfig(
             model=model,
             model_params=model_params,
@@ -523,21 +528,25 @@ def config_from_dict(raw, overrides=None):
             dataset_path=raw.get("dataset"),
             sampling=plan,
             dependence=dependence,
-            n_bins_first=_bin_count(binning_raw.get("n_bins_first"), first_key),
-            n_bins_second_per_dim=_bin_count(
-                binning_raw.get("n_bins_second_per_dim"), "binning.n_bins_second_per_dim"
+            binning=BinningConfig(
+                n_bins_first=_bin_count(binning_raw.get("n_bins_first"), first_key),
+                n_bins_second_per_dim=_bin_count(
+                    binning_raw.get("n_bins_second_per_dim"), "binning.n_bins_second_per_dim"
+                ),
             ),
-            simdec_max_inputs=_at_least(
-                int(simdec_raw.get("max_inputs", 3)), "simdec.max_inputs", 1
+            simdec_max_inputs=_whole_number(
+                simdec_raw.get("max_inputs", 3), "simdec.max_inputs", 1
             ),
             simdec_cum_threshold=_fraction(
                 float(simdec_raw.get("cum_threshold", 0.8)), "simdec.cum_threshold"
             ),
-            n_output_bins=_at_least(
-                int(simdec_raw.get("n_output_bins", 100)), "simdec.n_output_bins", 1
+            n_output_bins=_whole_number(
+                simdec_raw.get("n_output_bins", 100), "simdec.n_output_bins", 1
             ),
-            oracle_n=_at_least(int(oracle_raw.get("n", 1500)), "oracle.n", 128),
-            oracle_sampler=oracle_sampler,
+            oracle_n=_whole_number(oracle_raw.get("n", 1500), "oracle.n", 128),
+            oracle_sampler=_method(
+                oracle_raw.get("sampler", "QMC"), "oracle.sampler", ("MC", "QMC")
+            ),
             sweep_grid=_sweep_grid(
                 raw.get("sweep_grid", (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75))
             ),
@@ -549,45 +558,80 @@ def config_from_dict(raw, overrides=None):
         raise UserInputError(f"invalid config: {exc}") from None
 
 
+def _state(st, where, column, levels):
+    """One state of a states file: level labels for a categorical column, a
+    numeric [min, max) range for any other."""
+    if not isinstance(st, dict):
+        raise UserInputError(f"{where} must be a JSON object, got {st!r}")
+    if levels:
+        chosen = st.get("levels")
+        if not isinstance(chosen, list) or not chosen:
+            raise UserInputError(
+                f"{where} needs a list of 'levels', as column {column!r} is categorical"
+            )
+        for lvl in chosen:
+            if lvl not in levels:
+                raise UserInputError(f"{where}: unknown level {lvl!r} for column {column!r}")
+        label = st.get("name", ",".join(map(str, chosen)))
+        state = State(label=label, levels=tuple(levels.index(lvl) for lvl in chosen))
+    else:
+        lo, hi = st.get("min"), st.get("max")
+        for key, v in (("min", lo), ("max", hi)):
+            # abs(v) <= the largest float also rules out NaN and an int that
+            # float() cannot convert
+            number = isinstance(v, (int, float)) and not isinstance(v, bool)
+            if not number or not abs(v) <= sys.float_info.max:
+                raise UserInputError(f"{where} needs a finite number for {key!r}, got {v!r}")
+        state = State(label=st.get("name", ""), lo=float(lo), hi=float(hi))
+    if not isinstance(state.label, str):
+        raise UserInputError(f"{where}: name must be a string, got {state.label!r}")
+    return state
+
+
 def load_states_file(path, dataset):
     """Parse a states JSON file into state definitions keyed to dataset columns.
 
     Format: [{"input": name, "states": [{"name": "Low", "min": a, "max": b},
     ...]}, ...]. Categorical states use {"name": ..., "levels": [...]}.
+    Numeric states are ascending and contiguous (each max is the next min)
+    and must cover the column; the first input has at most one state per
+    scenario hue. Errors name the entry and the state, from 0.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise UserInputError(f"cannot read states file {path}: {exc}") from None
+    if not isinstance(raw, list):
+        raise UserInputError(f"states file {path} must hold a JSON list, got {type(raw).__name__}")
     names = list(dataset.names)
     defs = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        where = f"states file entry {i}"
+        if not isinstance(entry, dict) or not isinstance(entry.get("states", []), list):
+            raise UserInputError(f"{where} must be a JSON object with a list of states")
         name = entry.get("input")
         if name not in names:
-            raise UserInputError(f"states file references unknown column {name!r}")
+            raise UserInputError(f"{where} references unknown column {name!r}")
         idx = names.index(name)
-        spec = dataset.specs[idx]
-        states = []
-        for st in entry.get("states", []):
-            if "levels" in st:
-                levels = st["levels"]
-                level_idx = []
-                for lvl in levels:
-                    if lvl not in spec.distribution.levels:
-                        raise UserInputError(
-                            f"states file: unknown level {lvl!r} for column {name!r}"
-                        )
-                    level_idx.append(spec.distribution.levels.index(lvl))
-                states.append(State(label=st.get("name", ",".join(map(str, levels))),
-                                    levels=tuple(level_idx)))
-            else:
-                states.append(
-                    State(label=st.get("name", ""), lo=float(st["min"]), hi=float(st["max"]))
-                )
+        levels = dataset.specs[idx].distribution.levels
+        states = tuple(
+            _state(st, f"{where}, state {j}", name, levels)
+            for j, st in enumerate(entry.get("states", []))
+        )
         if len(states) < 2:
-            raise UserInputError(f"states file: column {name!r} needs at least 2 states")
-        defs.append(StateDefinition(input_index=idx, states=tuple(states)))
+            raise UserInputError(f"{where}: column {name!r} needs at least 2 states")
+        if i == 0 and len(states) > len(_HUES):
+            raise UserInputError(
+                f"{where}: the first input has {len(states)} states; at most {len(_HUES)} "
+                "have a color"
+            )
+        try:
+            definition = StateDefinition(input_index=idx, states=states)
+            _state_of(dataset.column(idx), dataset.specs[idx], definition)
+        except ValueError as exc:
+            raise UserInputError(f"{where}, {exc}") from None
+        defs.append(definition)
     if not defs:
         raise UserInputError("states file defines no inputs")
     return tuple(defs)

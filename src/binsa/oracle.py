@@ -22,10 +22,8 @@ __all__ = ["OracleReport", "estimate_sobol"]
 class OracleReport:
     names: tuple
     first_order: np.ndarray
-    second_order_closed: np.ndarray
     second_order: np.ndarray
     var_y: float
-    n_base: int
     n_evaluations: int
 
 
@@ -73,20 +71,16 @@ def estimate_sobol(model, specs, n, seed=0, sampler="QMC"):
     )
 
     f0_sq = stable_mean(f_a) * stable_mean(f_b)
-    closed = np.zeros((k, k))
     second = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
             v_ij = stable_mean(f_ba[i] * f_ab[j]) - f0_sq
-            closed[i, j] = closed[j, i] = v_ij / var_y
             second[i, j] = second[j, i] = v_ij / var_y - first[i] - first[j]
 
     return OracleReport(
         names=tuple(s.name for s in specs),
         first_order=first,
-        second_order_closed=closed,
         second_order=second,
         var_y=var_y,
-        n_base=n,
         n_evaluations=n * (2 * k + 2),
     )

@@ -330,14 +330,13 @@ def dependence_seed(seed, k):
     return seed + 1000003 * (k + 1)
 
 
-def sample_inputs(plan, specs, dependence=(), seed=None):
+def sample_inputs(plan, specs, dependence=()):
     """Generate a full input matrix: design points, marginals, dependence.
 
     The realized row count equals plan.n for MC/QMC and L^K <= plan.n for FFD.
     The matrix is column-major, as transform_marginals returns it.
     """
-    seed = plan.seed if seed is None else seed
-    dim = len(specs)
+    seed, dim = plan.seed, len(specs)
     if plan.method == "MC":
         pts = random_points(dim, plan.n, seed)
     elif plan.method == "QMC":

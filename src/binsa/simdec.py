@@ -43,7 +43,8 @@ class State:
 
 @dataclass(frozen=True)
 class StateDefinition:
-    """Ordered states of one selected input; the last numeric state is
+    """Ordered states of one selected input. Numeric states are ascending
+    and contiguous (each max is the next state's min); the last one is
     max-inclusive."""
 
     input_index: int
@@ -52,6 +53,16 @@ class StateDefinition:
     def __post_init__(self):
         if len(self.states) < 1:
             raise ValueError("state definition requires at least one state")
+        if self.states[0].levels:
+            return
+        for j, st in enumerate(self.states):
+            if not st.lo <= st.hi:
+                raise ValueError(f"state {j}: min {st.lo!r} must not exceed max {st.hi!r}")
+            if j and st.lo != self.states[j - 1].hi:
+                raise ValueError(
+                    f"state {j}: min {st.lo!r} must equal the max of state {j - 1}, "
+                    f"{self.states[j - 1].hi!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -95,19 +106,14 @@ def select_inputs(report, max_inputs=3, cum_threshold=0.8):
     return tuple(selected)
 
 
-def default_states(dataset, selected, boundaries=None):
+def default_states(dataset, selected):
     """Default state setup: 3 equal-width states for the top input, 2 for the
-    rest; categorical inputs get one state per level. Explicit boundaries per
-    input index override the defaults."""
+    rest; categorical inputs get one state per level."""
     if not selected:
         raise ValueError("no inputs selected")
-    boundaries = boundaries or {}
     defs = []
     for rank, idx in enumerate(selected):
         spec = dataset.specs[idx]
-        if idx in boundaries:
-            defs.append(StateDefinition(input_index=idx, states=tuple(boundaries[idx])))
-            continue
         if spec.distribution.kind == "categorical":
             states = tuple(
                 State(label=str(lvl), levels=(li,))
@@ -158,6 +164,8 @@ def decompose(dataset, state_definitions, n_output_bins=100):
     are kept with probability 0 and null statistics.
     """
     defs = tuple(state_definitions)
+    if not defs:
+        raise ValueError("decompose requires at least one state definition")
     n = dataset.n_rows
     sizes = [len(d.states) for d in defs]
     n_scen = int(np.prod(sizes))
@@ -188,8 +196,7 @@ def decompose(dataset, state_definitions, n_output_bins=100):
     counts = np.bincount(sorted_scen, minlength=n_scen)
     bounds = np.searchsorted(sorted_scen, np.arange(n_scen + 1))
 
-    group_sizes = [int(np.prod(sizes[1:]))] * sizes[0] if defs else [n_scen]
-    colors = assign_colors(sizes[0] if defs else 1, group_sizes)
+    colors = assign_colors(sizes[0], n_scen // sizes[0])
 
     scenarios = []
     for s in range(n_scen):
@@ -227,24 +234,17 @@ def decompose(dataset, state_definitions, n_output_bins=100):
     )
 
 
-def assign_colors(n_top_states, group_sizes):
+def assign_colors(n_top_states, group_size):
     """One hue per top-input state, monotonically lighter shades within it.
 
-    group_sizes gives the number of scenarios under each top-input state;
-    colors are returned flat, in scenario order, as RGB hex strings.
+    group_size is the number of scenarios under each top-input state; colors
+    are returned flat, in scenario order, as RGB hex strings.
     """
-    if n_top_states < 1:
-        raise ValueError("at least one state required")
     if n_top_states > len(_HUES):
         raise ValueError("palette exhausted")
-    if len(group_sizes) != n_top_states:
-        raise ValueError("one group size per top-input state required")
+    lightness = [0.45] if group_size == 1 else np.linspace(0.30, 0.82, group_size)
     colors = []
-    for hue, size in zip(_HUES, group_sizes):
-        if size == 1:
-            lightness = [0.45]
-        else:
-            lightness = np.linspace(0.30, 0.82, size)
+    for hue in _HUES[:n_top_states]:
         for light in lightness:
             r, g, b = colorsys.hls_to_rgb(hue, float(light), _SATURATION)
             colors.append(f"#{round(r * 255):02X}{round(g * 255):02X}{round(b * 255):02X}")

@@ -13,10 +13,7 @@ from binsa import (
     InputSpec,
     MarginalDistribution,
     SamplingPlan,
-    State,
-    StateDefinition,
     analyze,
-    bin_count_first,
     conservation_check,
     decompose,
     default_specs,
@@ -24,10 +21,12 @@ from binsa import (
     estimate_sobol,
     evaluate,
     get_model,
-    pearson,
     sample_inputs,
-    sobol_points,
 )
+from binsa.binning import bin_count_first
+from binsa.core import pearson
+from binsa.sampling import sobol_points
+from binsa.simdec import State, StateDefinition
 
 
 def _run_model(name, n, seed, method="QMC", law="normal", dependence=()):

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from binsa import (
-    MODEL_NAMES,
-    default_specs,
-    evaluate,
-    get_model,
-    ishigami_analytic_indices,
-    sobol_points,
-    stable_mean,
-    stable_variance,
-    toy_default_specs,
-    transform_marginals,
-)
+from binsa import default_specs, evaluate, get_model
+from binsa.benchmarks import MODEL_NAMES, ishigami_analytic_indices, toy_default_specs
+from binsa.core import stable_mean, stable_variance
+from binsa.sampling import sobol_points, transform_marginals
 
 
 def test_model_registry():

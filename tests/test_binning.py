@@ -10,14 +10,13 @@ from binsa import (
     MarginalDistribution,
     SamplingPlan,
     analyze,
-    bin_count_first,
-    bin_count_second_per_dim,
     conservation_check,
     default_specs,
     evaluate,
     get_model,
     sample_inputs,
 )
+from binsa.binning import bin_count_first, bin_count_second_per_dim
 from test_golden import CASES
 
 _TABLE = {

@@ -291,6 +291,69 @@ def test_too_small_n_is_exit_2(capsys, tmp_path):
     assert "at least 100 rows" in err
 
 
+@pytest.mark.parametrize("command, model", [
+    ("simdec", "ishigami"),
+    ("compare", "ishigami"),
+    ("sweep-dependence", "two_factor_multiplicative"),
+])
+def test_every_report_command_needs_100_rows(capsys, tmp_path, command, model):
+    out = tmp_path / "out"
+    code, _, err = run([command, "--model", model, "--n", "50", "--out", str(out)], capsys)
+    assert code == 2, err
+    assert f"{command} requires at least 100 rows" in err
+    assert not out.exists()
+
+
+def _states(*edges):
+    """A states file entry's states, one per pair of consecutive edges."""
+    return [{"name": f"s{j}", "min": lo, "max": hi}
+            for j, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+
+
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 0},
+                                     {"name": "b", "max": 4}]}],
+         r"states file entry 0, state 1 needs a finite number for 'min', got None"),
+        ({"input": "x1", "states": _states(-4, 0, 4)},
+         "must hold a JSON list, got dict"),
+        (["x1"], "states file entry 0 must be a JSON object with a list of states"),
+        ([{"input": "x1", "states": _states(*range(-4, 8))}],
+         "states file entry 0: the first input has 11 states; at most 10 have a color"),
+        ([{"input": "x1", "states": _states(-1, 0, 1)}],
+         r"states file entry 0, states for input index 0 do not cover the observed range"),
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 0},
+                                     {"name": "b", "min": 0.5, "max": 4}]}],
+         r"states file entry 0, state 1: min 0\.5 must equal the max of state 0, 0\.0"),
+        ([{"input": "x1", "states": _states(-4, 0, 4)},
+          {"input": "x2", "states": [{"name": "a", "min": 0, "max": -4},
+                                     {"name": "b", "min": -4, "max": 4}]}],
+         r"states file entry 1, state 0: min 0\.0 must not exceed max -4\.0"),
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 1},
+                                     {"name": "b", "min": 0, "max": 4}]}],
+         r"states file entry 0, state 1: min 0\.0 must equal the max of state 0, 1\.0"),
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 10**400},
+                                     {"name": "b", "min": 10**400, "max": 10**401}]}],
+         r"states file entry 0, state 0 needs a finite number for 'max', got 1000"),
+        ([{"input": "x1", "states": [{"name": 3, "min": -4, "max": 0},
+                                     {"name": "b", "min": 0, "max": 4}]}],
+         "states file entry 0, state 0: name must be a string, got 3"),
+    ],
+    ids=["missing-min", "top-level-object", "entry-not-object", "eleven-states", "not-covering",
+         "gap", "descending", "overlap", "huge-int", "label-not-string"],
+)
+def test_bad_states_file_is_exit_2_naming_the_entry(tmp_path, capsys, states, message):
+    path = tmp_path / "states.json"
+    path.write_text(json.dumps(states))
+    out = tmp_path / "out"
+    code, _, err = run(["simdec", "--model", "ishigami", "--n", "2000", "--states", str(path),
+                        "--out", str(out)], capsys)
+    assert code == 2, err
+    assert re.search(message, err), err
+    assert not out.exists()
+
+
 def test_repeated_input_name_is_exit_2(tmp_path, capsys):
     p = tmp_path / "dup.csv"
     p.write_text("a,a,y\n" + "".join(f"{i},{i % 7},{i * i}\n" for i in range(200)))
@@ -421,18 +484,19 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
         ("sweep-dependence", {"model": "two_factor_additive"}, ["--sampler", "ffd", "--n", "3"],
          r"sampling\.n must be >= 2\*\*2 = 4 for FFD on 2 inputs, got 3"),
         ("simdec", {"model": "ishigami", "simdec": {"n_output_bins": 0}}, [],
-         "simdec.n_output_bins must be >= 1, got 0"),
+         "simdec.n_output_bins must be a whole number >= 1, got 0"),
         ("analyze", {"model": "toy_portfolio", "law": "lognormal"}, [],
          "law must be 'normal' or 'uniform', got 'lognormal'"),
-        ("compare", {"model": "ishigami", "oracle": {"n": 0}}, [], "oracle.n must be >= 128, got 0"),
+        ("compare", {"model": "ishigami", "oracle": {"n": 0}}, [],
+         "oracle.n must be a whole number >= 128, got 0"),
         ("compare", {"model": "ishigami", "oracle": {"sampler": "ffd"}}, [],
          "oracle.sampler must be 'MC' or 'QMC', got 'FFD'"),
         ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": [0.5, 2.0]}, [],
          r"sweep_grid\[1\] must be a number in \[-1, 1\], got 2\.0"),
         ("simdec", {"model": "ishigami", "simdec": {"max_inputs": 0}}, [],
-         "simdec.max_inputs must be >= 1, got 0"),
+         "simdec.max_inputs must be a whole number >= 1, got 0"),
         ("simdec", {"model": "ishigami", "simdec": {"max_inputs": -1}}, [],
-         "simdec.max_inputs must be >= 1, got -1"),
+         "simdec.max_inputs must be a whole number >= 1, got -1"),
         ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 5}}, [],
          r"simdec\.cum_threshold must lie in \(0, 1\], got 5\.0"),
         ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 0}}, [],
@@ -461,6 +525,29 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "--n must be <= 1073741824 for QMC, got 2000000000"),
         ("sample", {"model": "ishigami", "sampling": {"scramble": "false"}}, [],
          r"sampling\.scramble must be true or false, got 'false'"),
+        ("simdec", {"model": "ishigami", "simdec": {"max_inputs": 2.7}}, [],
+         r"simdec\.max_inputs must be a whole number >= 1, got 2\.7"),
+        ("simdec", {"model": "ishigami", "simdec": {"n_output_bins": 10.5}}, [],
+         r"simdec\.n_output_bins must be a whole number >= 1, got 10\.5"),
+        ("compare", {"model": "ishigami", "oracle": {"n": 1500.5}}, [],
+         r"oracle\.n must be a whole number >= 128, got 1500\.5"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [0, 1], "rho": True}]}, [],
+         r"dependence\[0\]\.rho must be a number in \[-1, 1\], got True"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 1.5}]}, [],
+         r"dependence\[0\]\.rho must be a number in \[-1, 1\], got 1\.5"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "equal_portion", "pair": [0, 1], "fraction": "0.5"}]},
+         [], r"dependence\[0\]\.fraction must be a number in \[0, 1\], got '0\.5'"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "equal_portion", "pair": [0, 1], "fraction": 0.5,
+                                    "sign": "up"}]}, [],
+         r"dependence\[0\]\.sign must be 'positive' or 'negative', got 'up'"),
+        ("sample", {"model": "ishigami", "sampling": {"method": 5}}, [],
+         r"sampling\.method must be 'MC', 'QMC' or 'FFD', got 5"),
+        ("compare", {"model": "ishigami", "oracle": {"sampler": 5}}, [],
+         r"oracle\.sampler must be 'MC' or 'QMC', got 5"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -468,7 +555,9 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "zero-max-inputs", "negative-max-inputs", "cum-threshold-above-1", "zero-cum-threshold",
          "sweep-dependence-list", "negative-seed-flag", "negative-seed", "negative-top-level-seed",
          "fractional-seed", "bool-seed", "fractional-n", "string-n", "qmc-n-too-large",
-         "qmc-n-flag-too-large", "string-scramble"],
+         "qmc-n-flag-too-large", "string-scramble", "fractional-max-inputs",
+         "fractional-output-bins", "fractional-oracle-n", "bool-rho", "rho-out-of-range",
+         "string-fraction", "bad-sign", "int-method", "int-oracle-sampler"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from binsa import (
-    BinningConfig,
-    Dataset,
-    InputSpec,
-    MarginalDistribution,
+from binsa import BinningConfig, Dataset, InputSpec, MarginalDistribution, analyze
+from binsa.core import (
     SensitivityReport,
-    analyze,
+    _COPY_BLOCK_ROWS,
+    _mid_ranks,
+    column_major,
     pearson,
     spearman,
     stable_mean,
     stable_sum,
     stable_variance,
 )
-from binsa.core import _COPY_BLOCK_ROWS, _mid_ranks, column_major
 
 
 def test_stable_sum_matches_exact_value():

@@ -14,7 +14,6 @@ from binsa import (
     InputSpec,
     MarginalDistribution,
     SamplingPlan,
-    UserInputError,
     analyze,
     conservation_check,
     default_specs,
@@ -23,13 +22,19 @@ from binsa import (
     evaluate,
     get_model,
     read_dataset_csv,
-    report_tables_csv,
-    report_to_dict,
     sample_inputs,
-    scenario_table_csv,
     write_dataset_csv,
 )
-from binsa.io import config_from_dict, fmt_number, load_config, load_states_file
+from binsa.io import (
+    UserInputError,
+    config_from_dict,
+    fmt_number,
+    load_config,
+    load_states_file,
+    report_tables_csv,
+    report_to_dict,
+    scenario_table_csv,
+)
 
 
 def _dataset(n=500, seed=0, model="toy_portfolio"):
@@ -385,7 +390,7 @@ def test_config_overrides_and_defaults(tmp_path):
     assert cfg.sampling.n == 3000
     assert cfg.sampling.method == "QMC"
     assert cfg.sampling.seed == 9
-    assert cfg.n_bins_first == 12
+    assert cfg.binning.n_bins_first == 12
     assert cfg.out_dir == "odir"
 
 
@@ -444,6 +449,29 @@ def test_load_states_file_errors(tmp_path):
     p.write_text("[")
     with pytest.raises(UserInputError, match="cannot read states"):
         load_states_file(p, ds)
+
+
+def test_load_states_file_categorical_column(tmp_path):
+    spec = (
+        InputSpec("c", MarginalDistribution.categorical(("u", "v", "w"), (0.2, 0.3, 0.5))),
+        InputSpec("x", MarginalDistribution.uniform(0, 1)),
+    )
+    x = np.column_stack([np.arange(30) % 3, np.linspace(0, 1, 30)]).astype(float)
+    ds = Dataset(inputs=x, output=x[:, 0] + x[:, 1], specs=spec)
+    p = tmp_path / "states.json"
+
+    def load(states):
+        p.write_text(json.dumps([{"input": "c", "states": states}]))
+        return load_states_file(p, ds)
+
+    defs = load([{"name": "uv", "levels": ["u", "v"]}, {"levels": ["w"]}])
+    assert [(s.label, s.levels) for s in defs[0].states] == [("uv", (0, 1)), ("w", (2,))]
+    with pytest.raises(UserInputError, match=r"entry 0, state 1 needs a list of 'levels'"):
+        load([{"levels": ["u", "v"]}, {"min": 2, "max": 3}])
+    with pytest.raises(UserInputError, match=r"entry 0, state 1: unknown level 'z'"):
+        load([{"levels": ["u", "v"]}, {"levels": ["z"]}])
+    with pytest.raises(UserInputError, match="entry 0, states for input index 0 do not cover"):
+        load([{"levels": ["u"]}, {"levels": ["v"]}])
 
 
 def test_config_sampling_whole_numbers_may_be_written_as_floats():

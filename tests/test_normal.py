@@ -4,13 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from binsa import (
-    DependencePlan,
-    InputSpec,
-    MarginalDistribution,
-    apply_dependence,
-    transform_marginals,
-)
+from binsa import DependencePlan, InputSpec, MarginalDistribution
+from binsa.sampling import apply_dependence, transform_marginals
 from binsa._normal import ndtr, ndtri
 
 special = pytest.importorskip("scipy.special")

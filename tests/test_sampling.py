@@ -10,15 +10,19 @@ from binsa import (
     InputSpec,
     MarginalDistribution,
     SamplingPlan,
+    sample_inputs,
+)
+from binsa.core import pearson
+from binsa.sampling import (
+    MAX_SOBOL_DIM,
+    _lms_shift,
+    _sobol_directions,
     apply_dependence,
     full_factorial,
-    pearson,
     random_points,
-    sample_inputs,
     sobol_points,
     transform_marginals,
 )
-from binsa.sampling import MAX_SOBOL_DIM, _lms_shift, _sobol_directions
 
 
 def test_sobol_unscrambled_starts_at_origin():

@@ -6,10 +6,7 @@ from binsa import (
     InputSpec,
     MarginalDistribution,
     SamplingPlan,
-    State,
-    StateDefinition,
     analyze,
-    assign_colors,
     decompose,
     default_specs,
     default_states,
@@ -18,6 +15,7 @@ from binsa import (
     sample_inputs,
     select_inputs,
 )
+from binsa.simdec import State, StateDefinition, assign_colors
 
 
 def _nested_dataset(n=10000, seed=0):
@@ -68,13 +66,6 @@ def test_default_states_three_then_two():
     # equal widths
     widths = [s.hi - s.lo for s in top]
     assert widths[0] == pytest.approx(widths[1]) == pytest.approx(widths[2])
-
-
-def test_default_states_respects_boundary_override():
-    ds = _nested_dataset()
-    custom = (State("small", 0.0, 0.3), State("big", 0.3, 1.0))
-    defs = default_states(ds, (0,), boundaries={0: custom})
-    assert defs[0].states == custom
 
 
 def test_decompose_probabilities_sum_to_one_exactly():
@@ -147,6 +138,14 @@ def test_decompose_single_state_trivial_scenario():
     assert deco.scenarios[0].probability == 1.0
 
 
+def test_state_definition_needs_ascending_contiguous_states():
+    # with a gap, every row in [0, 0.5) would fall to state "a"
+    with pytest.raises(ValueError, match="state 1: min 0.5 must equal the max of state 0"):
+        StateDefinition(0, (State("a", -4.0, 0.0), State("b", 0.5, 4.0)))
+    with pytest.raises(ValueError, match="state 0: min 1.0 must not exceed max 0.0"):
+        StateDefinition(0, (State("a", 1.0, 0.0), State("b", 0.0, 4.0)))
+
+
 def test_decompose_uncovered_range_raises():
     ds = _nested_dataset(n=500)
     defs = (StateDefinition(0, (State("half", 0.0, 0.5),)),)
@@ -170,15 +169,13 @@ def test_decompose_categorical_states():
 
 
 def test_assign_colors_structure():
-    colors = assign_colors(3, [4, 4, 4])
+    colors = assign_colors(3, 4)
     assert len(colors) == 12 and len(set(colors)) == 12
     assert all(c.startswith("#") and len(c) == 7 for c in colors)
-    single = assign_colors(1, [1])
+    single = assign_colors(1, 1)
     assert len(single) == 1
     with pytest.raises(ValueError, match="palette exhausted"):
-        assign_colors(11, [1] * 11)
-    with pytest.raises(ValueError):
-        assign_colors(2, [1])
+        assign_colors(11, 1)
 
 
 def test_decompose_is_deterministic():
