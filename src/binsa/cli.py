@@ -13,7 +13,7 @@ import sys
 from . import __version__
 from .benchmarks import default_specs, evaluate, get_model
 from .binning import analyze, conservation_check
-from .core import Dataset, pearson, spearman
+from .core import Dataset, _centred, _correlation, _mid_ranks
 from .io import (
     SCHEMA_VERSION,
     UserInputError,
@@ -29,7 +29,13 @@ from .io import (
     write_dataset_csv,
 )
 from .oracle import estimate_sobol
-from .sampling import DependencePlan, apply_dependence, dependence_seed, sample_inputs
+from .sampling import (
+    DependencePlan,
+    _apply_dependence,
+    _copula_score,
+    dependence_seed,
+    sample_inputs,
+)
 from .simdec import decompose, default_states, select_inputs
 from .svg import bar_chart, stacked_histogram
 
@@ -232,9 +238,15 @@ def cmd_sweep_dependence(config):
     model = _model(config.model, config.model_params)
     specs = default_specs(model)
     # every grid value perturbs the same design, as sample_inputs would
-    # with that value's plan as its only dependence
+    # with that value's plan as its only dependence; so column a, and all
+    # that pearson, spearman and the copula compute of it, is the same for
+    # every value and is computed once
     design = _sample(config, specs, ())
     seed = dependence_seed(config.sampling.seed, 0)
+    a = design[:, 0]
+    a_centred = _centred(a)
+    a_ranks = _centred(_mid_ranks(a))
+    a_score = _copula_score(a, specs[0].distribution)
     for kind in ("copula", "equal_portion"):
         for value in config.sweep_grid:
             if kind == "copula":
@@ -246,9 +258,9 @@ def cmd_sweep_dependence(config):
                     fraction=abs(value),
                     sign="negative" if value < 0 else "positive",
                 )
-            matrix = apply_dependence(design, specs, plan, seed=seed)
+            matrix = _apply_dependence(design, specs, plan, seed, a_score)
             output = evaluate(model, matrix)
-            a, b = matrix[:, 0], matrix[:, 1]
+            b = matrix[:, 1]
             if output.max() == output.min():
                 rows.append([config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"])
                 continue
@@ -259,8 +271,8 @@ def cmd_sweep_dependence(config):
                     config.model,
                     kind,
                     fmt_number(value),
-                    fmt_number(pearson(a, b)),
-                    fmt_number(spearman(a, b)),
+                    fmt_number(_correlation(a_centred, _centred(b))),
+                    fmt_number(_correlation(a_ranks, _centred(_mid_ranks(b)))),
                     fmt_number(report.first_order[0]),
                     fmt_number(report.first_order[1]),
                     fmt_number(report.second_order[0, 1]),

@@ -241,17 +241,26 @@ def _paired_vectors(x, y, name):
     return x, y
 
 
-def pearson(x, y):
-    """Product-moment correlation coefficient of two finite vectors."""
-    x, y = _paired_vectors(x, y, "pearson")
-    dx = x - stable_mean(x)
-    dy = y - stable_mean(y)
-    sx = stable_sum(dx * dx)
-    sy = stable_sum(dy * dy)
+def _centred(v):
+    """v minus its mean, and the sum of squares of that: what a correlation
+    needs of one of its two vectors."""
+    d = v - stable_mean(v)
+    return d, stable_sum(d * d)
+
+
+def _correlation(x, y):
+    """Correlation of two vectors given as _centred returns them."""
+    (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ValueError("degenerate correlation")
     r = stable_sum(dx * dy) / math.sqrt(sx * sy)
     return min(1.0, max(-1.0, r))
+
+
+def pearson(x, y):
+    """Product-moment correlation coefficient of two finite vectors."""
+    x, y = _paired_vectors(x, y, "pearson")
+    return _correlation(_centred(x), _centred(y))
 
 
 def _mid_ranks(v):
@@ -277,4 +286,4 @@ def spearman(x, y):
     """Rank correlation of two finite vectors: pearson applied to mid-rank
     transforms."""
     x, y = _paired_vectors(x, y, "spearman")
-    return pearson(_mid_ranks(x), _mid_ranks(y))
+    return _correlation(_centred(_mid_ranks(x)), _centred(_mid_ranks(y)))

@@ -128,42 +128,65 @@ _LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _plain_utf8(path):
-    """Whether the file holds none of _LOADTXT_ONLY_SPACE.
+    """Whether the file holds none of _LOADTXT_ONLY_SPACE and every '#' in
+    it starts a line, so that np.loadtxt's comment stripping drops exactly
+    the '#' lines.
 
     The file is read as bytes in _SCAN_BYTES chunks and decoded on the way,
     so a file that is not UTF-8 raises UnicodeDecodeError here, before any
     of it is parsed, as it did when the reader decoded the whole file first.
+    A line starts after "\n" or "\r", as the reader opens the file with
+    universal newlines; no byte of a multi-byte UTF-8 character is one of
+    these three.
     """
     decoder = codecs.getincrementaldecoder("utf-8")()
     plain = True
+    last = b"\n"  # the file's first byte starts a line
     with open(path, "rb") as fh:
         while chunk := fh.read(_SCAN_BYTES):
             decoder.decode(chunk)
-            plain = plain and not any(c in chunk for c in _LOADTXT_ONLY_SPACE)
+            plain = plain and _hashes_start_lines(chunk, last) and not any(
+                c in chunk for c in _LOADTXT_ONLY_SPACE
+            )
+            last = chunk[-1:]
     decoder.decode(b"", final=True)
     return plain
 
 
-def _data_lines(fh):
-    """The lines of a text file that are not '#' lines, read as needed."""
-    return (ln for ln in fh if not ln.startswith("#"))
+def _hashes_start_lines(chunk, last):
+    """Whether each '#' in the bytes chunk follows a line break, last being
+    the byte before chunk. A dataset has few '#' bytes, so each is found
+    with find, which skips the bytes between them in native code."""
+    i = chunk.find(b"#")
+    while i != -1:
+        if (chunk[i - 1 : i] if i else last) not in (b"\n", b"\r"):
+            return False
+        i = chunk.find(b"#", i + 1)
+    return True
 
 
-def _bulk_rows(rows, n_cols):
-    """Parse data lines of plain numbers with np.loadtxt, or return None.
+def _data_lines(lines):
+    """The lines that are not '#' lines, read as needed."""
+    return (ln for ln in lines if not ln.startswith("#"))
 
-    rows is an iterable of lines, consumed as loadtxt parses them. np.loadtxt
-    accepts a subset of what _checked_rows accepts, with the same values,
-    except for the padding characters in _LOADTXT_ONLY_SPACE, which the
-    caller rules out first. None (use _checked_rows) for anything loadtxt
-    rejects or warns about (a file with no data rows), for fewer than 2
-    rows, a wrong column count or a non-finite value: _checked_rows alone
-    decides what is accepted and words every error.
+
+def _bulk_rows(fh, n_cols):
+    """Parse the rest of the open text file fh with np.loadtxt, or return
+    None.
+
+    np.loadtxt reads the lines itself and drops '#' comments; as every '#'
+    starts a line (_plain_utf8), that drops the '#' lines and nothing else.
+    It accepts a subset of what _checked_rows accepts, with the same
+    values, except for the padding characters in _LOADTXT_ONLY_SPACE, which
+    the caller rules out first. None (use _checked_rows) for anything
+    loadtxt rejects or warns about (a file with no data rows), for fewer
+    than 2 rows, a wrong column count or a non-finite value: _checked_rows
+    alone decides what is accepted and words every error.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
     except (ValueError, UserWarning):
         return None
     if data.shape[0] < 2 or data.shape[1] != n_cols or not np.all(np.isfinite(data)):
@@ -187,13 +210,15 @@ def read_dataset_csv(path, specs=None):
 def _read_dataset_csv(path, specs):
     """read_dataset_csv, less the wording of an unreadable file.
 
-    The data lines stream from the file into np.loadtxt; if the bulk parser
-    declines them, the file is read again, from the top, by _checked_rows.
+    The '#' lines and the header are read a line at a time, and the rest of
+    the open file goes to np.loadtxt; if the bulk parser declines it, the
+    file is read again, from the top, by _checked_rows.
     """
     plain = _plain_utf8(path)
     with open(path, encoding="utf-8") as fh:
-        lines = _data_lines(fh)
-        reader = csv.reader(lines)
+        # csv.reader takes only the lines of the header's record, so fh is
+        # left at the first line after it
+        reader = csv.reader(_data_lines(iter(fh.readline, "")))
         try:
             header = next(reader)
         except StopIteration:
@@ -211,7 +236,7 @@ def _read_dataset_csv(path, specs):
             for j, s in enumerate(specs):
                 if s.distribution.kind == "categorical":
                     level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
-        data = _bulk_rows(lines, len(header)) if plain and not level_maps else None
+        data = _bulk_rows(fh, len(header)) if plain and not level_maps else None
     if data is None:
         with open(path, encoding="utf-8") as fh:
             reader = csv.reader(_data_lines(fh))
@@ -383,14 +408,23 @@ class StudyConfig:
 
 
 def _parse_dependence(items):
+    if not isinstance(items, list):
+        raise UserInputError(f"dependence must be a JSON list of objects, got {items!r}")
     plans = []
     for k, d in enumerate(items):
         if not isinstance(d, dict):
             raise UserInputError(f"dependence[{k}] must be a JSON object, got {d!r}")
         kind = d.get("kind")
-        pair = tuple(d.get("pair", ()))
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in pair):
-            raise UserInputError(f"dependence[{k}].pair must hold input indices, got {list(pair)}")
+        pair = d.get("pair")
+        if not isinstance(pair, list) or not all(
+            isinstance(i, int) and not isinstance(i, bool) for i in pair
+        ):
+            raise UserInputError(f"dependence[{k}].pair must hold input indices, got {pair!r}")
+        if len(pair) != 2 or pair[0] == pair[1]:
+            raise UserInputError(
+                f"dependence[{k}].pair must name two distinct inputs, got {pair!r}"
+            )
+        pair = tuple(pair)
         if kind == "copula":
             rho = _number_in(d.get("rho", 0.0), f"dependence[{k}].rho", -1, 1)
             plans.append(DependencePlan(kind="copula", pair=pair, rho=float(rho)))
@@ -420,7 +454,10 @@ def load_config(path, overrides=None):
 
 
 def _bin_count(value, key):
-    """A bin count as set in a config or flag: None (automatic) or an int >= 2."""
+    """A bin count as set in a config or flag: None (automatic) or a whole
+    number >= 2, which a float with no fraction part (JSON 1e3) may give."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
     if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 2):
         raise UserInputError(f"{key} must be an integer >= 2, got {value!r}")
     return value
@@ -467,10 +504,12 @@ def _sampling_plan(section, n_key, seed_key):
 
 
 def _fraction(value, key):
-    """A number from a config that must lie in (0, 1]."""
-    if not 0.0 < value <= 1.0:
-        raise UserInputError(f"{key} must lie in (0, 1], got {value!r}")
-    return value
+    """A number from a config in (0, 1], as a float: not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        value = float(value)
+        if 0.0 < value <= 1.0:
+            return value
+    raise UserInputError(f"{key} must lie in (0, 1], got {value!r}")
 
 
 def _section(raw, key):
@@ -482,6 +521,8 @@ def _section(raw, key):
 
 
 def _sweep_grid(values):
+    if not isinstance(values, (list, tuple)):
+        raise UserInputError(f"sweep_grid must be a JSON list of numbers, got {values!r}")
     return tuple(_number_in(v, f"sweep_grid[{i}]", -1, 1) for i, v in enumerate(values))
 
 
@@ -538,7 +579,7 @@ def config_from_dict(raw, overrides=None):
                 simdec_raw.get("max_inputs", 3), "simdec.max_inputs", 1
             ),
             simdec_cum_threshold=_fraction(
-                float(simdec_raw.get("cum_threshold", 0.8)), "simdec.cum_threshold"
+                simdec_raw.get("cum_threshold", 0.8), "simdec.cum_threshold"
             ),
             n_output_bins=_whole_number(
                 simdec_raw.get("n_output_bins", 100), "simdec.n_output_bins", 1

@@ -289,6 +289,13 @@ def transform_marginals(points, specs):
     return out
 
 
+def _copula_score(a, dist):
+    """The normal score of the uniform column a, on which the gaussian
+    copula conditions its partner column."""
+    ua = (a - dist.lo) / (dist.hi - dist.lo)
+    return ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16))
+
+
 def apply_dependence(matrix, specs, plan, seed=0):
     """Inject dependence between two uniform columns of an input matrix.
 
@@ -298,6 +305,18 @@ def apply_dependence(matrix, specs, plan, seed=0):
     is set to column a (positive) or to its reflection lo_b + hi_b - a
     (negative).
     """
+    matrix = np.asarray(matrix, dtype=float)
+    a_idx = plan.pair[0]
+    score = None
+    if plan.kind == "copula":
+        score = _copula_score(matrix[:, a_idx], specs[a_idx].distribution)
+    return _apply_dependence(matrix, specs, plan, seed, score)
+
+
+def _apply_dependence(matrix, specs, plan, seed, score):
+    """apply_dependence, given the _copula_score of the matrix's column a,
+    which an equal-portion plan does not use: it depends on column a alone,
+    so a caller that applies many plans to one matrix computes it once."""
     a_idx, b_idx = plan.pair
     dist_a = specs[a_idx].distribution
     dist_b = specs[b_idx].distribution
@@ -308,10 +327,11 @@ def apply_dependence(matrix, specs, plan, seed=0):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     if plan.kind == "copula":
-        ua = (a - dist_a.lo) / (dist_a.hi - dist_a.lo)
-        za = ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16))
-        eps = rng.standard_normal(n)
-        zb = plan.rho * za + math.sqrt(1.0 - plan.rho**2) * eps
+        # rho * score + sqrt(1 - rho**2) * eps, formed in the noise's own
+        # array: the same bits, one vector fewer held through ndtr
+        zb = rng.standard_normal(n)
+        zb *= math.sqrt(1.0 - plan.rho**2)
+        zb += plan.rho * score
         ub = ndtr(zb)
         out[:, b_idx] = dist_b.lo + ub * (dist_b.hi - dist_b.lo)
     else:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -8,6 +9,9 @@ import pytest
 
 import binsa
 from binsa.cli import main
+from binsa.core import pearson, spearman
+from binsa.io import fmt_number
+from binsa.sampling import apply_dependence, dependence_seed
 
 
 def run(argv, capsys):
@@ -111,6 +115,39 @@ def test_sweep_dependence_csv(tmp_path, capsys):
     data = [ln.split(",") for ln in lines[2:]]
     assert len(data) == 2 * 7  # two dependence kinds x seven grid points
     assert all(r[-1] == "ok" for r in data)  # default grid never fully couples
+
+
+def test_sweep_rows_equal_plain_calls_on_each_plan(tmp_path, capsys):
+    # the sweep computes what column a shares across the grid once; each row
+    # must still be what the public calls give for its plan alone
+    code, _, _ = run(
+        ["sweep-dependence", "--model", "two_factor_multiplicative", "--n", "2000",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()[1:]))
+    model = binsa.get_model("two_factor_multiplicative")
+    specs = binsa.default_specs(model)
+    design = binsa.sample_inputs(binsa.SamplingPlan(method="QMC", n=2000, seed=0), specs)
+    expected = [rows[0]]
+    for kind in ("copula", "equal_portion"):
+        for value in (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75):
+            if kind == "copula":
+                plan = binsa.DependencePlan(kind=kind, pair=(0, 1), rho=value)
+            else:
+                plan = binsa.DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
+                                            sign="negative" if value < 0 else "positive")
+            x = apply_dependence(design, specs, plan, seed=dependence_seed(0, 0))
+            report = binsa.analyze(
+                binsa.Dataset(inputs=x, output=binsa.evaluate(model, x), specs=specs)
+            )
+            values = (pearson(x[:, 0], x[:, 1]), spearman(x[:, 0], x[:, 1]),
+                      report.first_order[0], report.first_order[1],
+                      report.second_order[0, 1], binsa.conservation_check(report))
+            expected.append(["two_factor_multiplicative", kind, fmt_number(value)]
+                            + [fmt_number(v) for v in values] + ["ok"])
+    assert rows == expected
 
 
 def test_sweep_dependence_flags_degenerate_full_coupling(tmp_path, capsys):
@@ -548,6 +585,22 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          r"sampling\.method must be 'MC', 'QMC' or 'FFD', got 5"),
         ("compare", {"model": "ishigami", "oracle": {"sampler": 5}}, [],
          r"oracle\.sampler must be 'MC' or 'QMC', got 5"),
+        ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": "0.5"}}, [],
+         r"simdec\.cum_threshold must lie in \(0, 1\], got '0\.5'"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": {"kind": "copula", "pair": [0, 1], "rho": 0.5}}, [],
+         "dependence must be a JSON list of objects, got {"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [0, 1, 1], "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair must name two distinct inputs, got \[0, 1, 1\]"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "pair": [1, 1], "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair must name two distinct inputs, got \[1, 1\]"),
+        ("sample", {"model": "two_factor_additive",
+                    "dependence": [{"kind": "copula", "rho": 0.5}]}, [],
+         r"dependence\[0\]\.pair must hold input indices, got None"),
+        ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": 0.5}, [],
+         "sweep_grid must be a JSON list of numbers, got 0.5"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -557,7 +610,9 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "fractional-seed", "bool-seed", "fractional-n", "string-n", "qmc-n-too-large",
          "qmc-n-flag-too-large", "string-scramble", "fractional-max-inputs",
          "fractional-output-bins", "fractional-oracle-n", "bool-rho", "rho-out-of-range",
-         "string-fraction", "bad-sign", "int-method", "int-oracle-sampler"],
+         "string-fraction", "bad-sign", "int-method", "int-oracle-sampler",
+         "string-cum-threshold", "dependence-object", "three-index-pair", "repeated-pair",
+         "missing-pair", "scalar-sweep-grid"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

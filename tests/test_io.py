@@ -170,23 +170,23 @@ def test_read_csv_empty_and_tiny_rejected(tmp_path):
         read_dataset_csv(p)
 
 
-def _read_both_ways(path, monkeypatch):
-    """(dataset through read_dataset_csv, whether the bulk parser produced
-    it, dataset with the bulk parser switched off)."""
+def _read_both_ways(path, monkeypatch, read=read_dataset_csv):
+    """(read(path), whether the bulk parser produced its rows, read(path)
+    with the bulk parser switched off)."""
     bulk_rows = binsa.io._bulk_rows
     results = []
 
-    def spy(lines, n_cols):
-        results.append(bulk_rows(lines, n_cols))
+    def spy(fh, n_cols):
+        results.append(bulk_rows(fh, n_cols))
         return results[-1]
 
     with monkeypatch.context() as m:
         m.setattr(binsa.io, "_bulk_rows", spy)
-        fast = read_dataset_csv(path)
+        fast = read(path)
     with monkeypatch.context() as m:
-        m.setattr(binsa.io, "_bulk_rows", lambda lines, n_cols: None)
-        loop = read_dataset_csv(path)
-    return fast, results[0] is not None, loop
+        m.setattr(binsa.io, "_bulk_rows", lambda fh, n_cols: None)
+        loop = read(path)
+    return fast, any(r is not None for r in results), loop
 
 
 @pytest.mark.parametrize(
@@ -212,6 +212,50 @@ def test_bulk_and_checked_reads_agree_bitwise(tmp_path, monkeypatch, text, bulk)
     assert fast.specs == loop.specs
     assert fast.inputs.tobytes() == loop.inputs.tobytes()
     assert fast.output.tobytes() == loop.output.tobytes()
+
+
+def _read_or_error(path):
+    """The arrays and specs read from path, or the text of the error."""
+    try:
+        ds = read_dataset_csv(path)
+    except UserInputError as exc:
+        return str(exc)
+    return ds.specs, ds.inputs.tobytes(), ds.output.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        ("a,b,output\n1.5,-2,0.25\n1#2,3,4\n-0.0,7,8\n", False),
+        ("a,b,output\n1.5,-2,0.25\n  # note\n3,4e-3,5\n-0.0,7,8\n", False),
+        ("a,b,output\n1.5,-2,0.25 # note\n3,4e-3,5\n-0.0,7,8\n", False),
+        ("a,b,output\r1.5,-2,0.25\r3,4e-3,5\r-0.0,7,8\r", True),
+        ("# meta {}\ra,b,output\r1.5,-2,0.25\r# note\r3,4e-3,5\r#\r-0.0,7,8", True),
+        ("# meta {}\r\na,b,output\r\n1.5,-2,0.25\r\n# note\r\n-0.0,7,8\r\n", True),
+    ],
+    ids=["hash-in-cell", "indented-comment", "trailing-comment", "cr-only",
+         "cr-only-comment-lines", "crlf-comment-lines"],
+)
+def test_bulk_read_takes_only_hash_lines_as_comments(tmp_path, monkeypatch, text, bulk):
+    # np.loadtxt strips a '#' anywhere in a line; the checked reader drops
+    # only lines that start with one, so any other '#' must leave the bulk
+    # path untaken, and either way the outcome is the checked reader's
+    p = tmp_path / "d.csv"
+    p.write_bytes(text.encode())
+    fast, used_bulk, loop = _read_both_ways(p, monkeypatch, read=_read_or_error)
+    assert fast == loop
+    assert used_bulk == bulk
+
+
+def test_written_dataset_with_meta_line_takes_the_bulk_path(tmp_path, monkeypatch):
+    p = tmp_path / "d.csv"
+    ds = _dataset(n=300)
+    write_dataset_csv(p, ds, metadata={"seed": 1, "tool": "binsa"})
+    assert p.read_text().startswith("# meta {")
+    fast, used_bulk, loop = _read_both_ways(p, monkeypatch)
+    assert used_bulk
+    assert fast.inputs.tobytes() == loop.inputs.tobytes() == ds.inputs.tobytes()
+    assert fast.output.tobytes() == loop.output.tobytes() == ds.output.tobytes()
 
 
 def test_bulk_read_keeps_the_checked_reader_errors(tmp_path):
@@ -240,6 +284,28 @@ def test_bulk_read_sees_padding_past_the_first_scanned_chunk(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("".join(lines))
     with pytest.raises(UserInputError, match=r"row 40000, column 'c0': non-numeric cell '4\\x1c'"):
+        read_dataset_csv(p)
+
+
+def test_bulk_read_sees_hash_line_starts_across_scanned_chunks(tmp_path, monkeypatch):
+    # a '#' line that starts the second chunk is a comment line, one past
+    # it a '#' that does not start a line still sends the file to the
+    # checked reader
+    text = _plain_rows(40_000, n_cols=2)
+    cut = text.rindex("\n", 0, binsa.io._SCAN_BYTES) + 1
+    pad = binsa.io._SCAN_BYTES - cut
+    head, tail = text[:cut], text[cut:]
+    head = head[:-1] + " " * pad + "\n"  # padding both readers accept
+    p = tmp_path / "d.csv"
+    p.write_text(head + "# note\n" + tail)
+    assert p.read_bytes()[binsa.io._SCAN_BYTES - 1:binsa.io._SCAN_BYTES + 1] == b"\n#"
+    fast, used_bulk, loop = _read_both_ways(p, monkeypatch)
+    assert used_bulk
+    assert fast.inputs.tobytes() == loop.inputs.tobytes()
+    lines = tail.splitlines(keepends=True)
+    lines[-2] = lines[-2][:-1] + " # note\n"
+    p.write_text(head + "".join(lines))
+    with pytest.raises(UserInputError, match=r"row 40000, column 'output': non-numeric cell"):
         read_dataset_csv(p)
 
 
@@ -478,3 +544,15 @@ def test_config_sampling_whole_numbers_may_be_written_as_floats():
     cfg = config_from_dict({"model": "ishigami", "sampling": {"n": 1e5, "seed": 3.0}})
     assert (cfg.sampling.n, cfg.sampling.seed) == (100_000, 3)
     assert type(cfg.sampling.n) is int and type(cfg.sampling.seed) is int
+
+
+def test_config_bin_counts_may_be_written_as_floats():
+    cfg = config_from_dict(
+        {"model": "ishigami", "binning": {"n_bins_first": 1e3, "n_bins_second_per_dim": 12.0}}
+    )
+    assert (cfg.binning.n_bins_first, cfg.binning.n_bins_second_per_dim) == (1000, 12)
+    assert type(cfg.binning.n_bins_first) is int
+    assert type(cfg.binning.n_bins_second_per_dim) is int
+    message = r"binning\.n_bins_first must be an integer >= 2, got 10\.5"
+    with pytest.raises(UserInputError, match=message):
+        config_from_dict({"model": "ishigami", "binning": {"n_bins_first": 10.5}})
