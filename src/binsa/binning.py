@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -90,37 +92,51 @@ def bin_count_second_per_dim(n_obs):
     return max(2, round(math.sqrt(n_obs / _PAIR_CELL_OCCUPANCY)))
 
 
-def _cell_indices(column, order, spec, resolutions):
-    """Bin index per row, rows taken in the given order, at each bin count in
-    resolutions: equal-width over the observed [min, max], rightmost
-    inclusive. Categorical columns bin by level code at every resolution.
+def _usable_cpus():
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    None for a constant column. A range so wide that max - min overflows,
-    or so narrow that bins / (max - min) does, has no float bin geometry:
-    a ValueError names the column.
-    """
-    if spec.distribution.kind == "categorical":
-        codes = column[order].astype(np.int64)
-        return [(codes, len(spec.distribution.levels))] * len(resolutions)
-    lo = float(column.min())
-    hi = float(column.max())
-    if lo == hi:
-        return None
-    scales = [n_bins / (hi - lo) for n_bins in resolutions]
-    if not all(0.0 < scale < math.inf for scale in scales):
-        raise ValueError(
-            f"input column {spec.name!r} spans [{lo!r}, {hi!r}]: its width or its bin "
-            "scale overflows a float, so it cannot be cut into equal-width bins"
-        )
-    offset = column[order]  # a fresh copy, so it is shifted in place
-    offset -= lo
-    cells = []
-    for n_bins, scale in zip(resolutions, scales):
-        # the offsets are >= 0, so the cast's truncation is the floor
-        idx = (offset * scale).astype(np.int64)
-        np.minimum(idx, n_bins - 1, out=idx)
-        cells.append((idx, n_bins))
-    return cells
+
+# Each worker holds 16 bytes of scratch per row: the cap keeps that memory
+# bounded on hosts with many CPUs.
+_MAX_WORKERS = 8
+
+# The thread pool, built by the first call that splits its work, and built
+# again in a forked child, whose copy has no threads behind it.
+_POOL = None  # (pid, ThreadPoolExecutor)
+_POOL_LOCK = threading.Lock()
+
+
+def _chunks(items, n_chunks):
+    """items cut into at most n_chunks contiguous runs of near-equal length."""
+    n_chunks = max(1, min(n_chunks, len(items)))
+    q, r = divmod(len(items), n_chunks)
+    bounds = [c * q + min(c, r) for c in range(n_chunks + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
+def _run(work, chunks, scratch):
+    """work(chunks[c], scratch[c]) for every c: in the calling thread for one
+    chunk, else on the pool. Waits for every chunk before it raises the
+    first chunk's error, so which error surfaces does not depend on timing."""
+    if len(chunks) < 2:
+        for chunk in chunks:
+            work(chunk, scratch[0])
+        return
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = (os.getpid(), ThreadPoolExecutor(min(_usable_cpus(), _MAX_WORKERS)))
+        pool = _POOL[1]
+    futures = [pool.submit(work, chunk, buf) for chunk, buf in zip(chunks, scratch)]
+    for future in futures:
+        future.exception()
+    for future in futures:
+        future.result()
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
@@ -149,72 +165,124 @@ def analyze(dataset, config=None):
     First-order indices use the table-interpolated bin count; every pair gets
     a second-order index on an m x m grid, with both marginal terms
     recomputed at m bins so the joint and marginal conditional variances
-    share one bin geometry; a categorical input bins by level at both
-    resolutions. Constant input columns are assigned index 0 instead of
-    failing the analysis, and a pair grid with fewer than 5 rows per cell on
-    average is kept: one note covers every numeric pair when m^2 > N/5, and
-    each pair with a categorical input whose n_cells_i x n_cells_j exceeds
-    N/5 is named in a note of its own. Each note is recorded in
-    report.warnings and emitted as a UserWarning. A numeric column whose
-    range has no float bin geometry (see _cell_indices) raises ValueError.
+    share one bin geometry. Numeric bins are equal-width over the column's
+    observed [min, max], rightmost inclusive; a categorical input bins by
+    level at both resolutions. Constant input columns are assigned index 0
+    instead of failing the analysis, and a pair grid with fewer than 5 rows
+    per cell on average is kept: one note covers every numeric pair when
+    m^2 > N/5, and each pair with a categorical input whose
+    n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
+    note is recorded in report.warnings and emitted as a UserWarning. A
+    numeric column whose range is so wide that max - min overflows a float,
+    or so narrow that bins / (max - min) does, has no bin geometry: a
+    ValueError names it.
+
+    The columns, and then the pairs, are split into contiguous runs, one per
+    worker thread: as many workers as there are pairs or CPUs this process
+    may use, whichever is fewer, and at most 8. With one worker (two inputs,
+    or one CPU) the work runs in the calling thread and no thread starts.
+    There is no setting: every index comes from the same numpy calls on the
+    same arrays however the work is split, so the report is bitwise
+    identical for any number of workers.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
-    var_y = stable_variance(dataset.output)
+    order = np.argsort(dataset.output)
+    y = dataset.output[order]
+    # The plain sum of the sorted output is stable_mean's to the bit: the two
+    # sorts differ at most in where +0.0 and -0.0 fall (see stable_sum).
+    var_y = stable_variance(y, mean=np.sum(y) / n)
     if var_y == 0.0:
         raise ValueError("constant output")
     nb = config.n_bins_first or bin_count_first(n, k)
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
-    order = np.argsort(dataset.output)
-    y = dataset.output[order]
-    first = np.zeros(k)
-    cells = {}
-    degenerate = []
-    for i, spec in enumerate(dataset.specs):
-        binned = _cell_indices(dataset.column(i), order, spec, (nb, m))
-        if binned is None:
-            degenerate.append(f"degenerate input column {dataset.names[i]!r}: indices set to 0")
-            continue
-        (ci, n_cells), cells[i] = binned
-        first[i] = _conditional_variance_ratio(ci, n_cells, y, var_y)
-        del binned, ci  # nothing else reads the nb-bin index
-    pairs = list(itertools.combinations(cells, 2))
-
-    sparse = [(i, j) for i, j in pairs if cells[i][1] * cells[j][1] > n / 5]
     categorical = [s.distribution.kind == "categorical" for s in dataset.specs]
+    n_cells = [len(s.distribution.levels) if c else m for s, c in zip(dataset.specs, categorical)]
+    # Row r of codes: input r's pair-resolution cell per row, in y order, in
+    # the narrowest type that holds every cell number.
+    codes = np.empty((k, n), dtype=np.min_scalar_type(max(n_cells) - 1))
+    binned = np.zeros(k, dtype=bool)
+    first = np.zeros(k)
+    marg = np.zeros(k)
+    second = np.zeros((k, k))
+    # The workers allocate nothing of length n, only write into their own
+    # scratch: a thread's frees go back to its own malloc arena, which would
+    # keep that memory.
+    workers = max(1, min(k * (k - 1) // 2, _usable_cpus(), _MAX_WORKERS))
+    scratch = [(np.empty(n), np.empty(n, dtype=np.int64)) for _ in range(workers)]
+
+    def bin_columns(columns, buf):
+        offset, idx = buf
+        for i in columns:
+            column = dataset.column(i)
+            # order is a permutation, so "clip" never clips; unlike the
+            # default "raise" it writes into out without a temporary copy
+            np.take(column, order, out=offset, mode="clip")
+            if categorical[i]:
+                np.copyto(idx, offset, casting="unsafe")
+                first[i] = marg[i] = _conditional_variance_ratio(idx, n_cells[i], y, var_y)
+            else:
+                lo = float(column.min())
+                hi = float(column.max())
+                if lo == hi:
+                    continue
+                scales = [n_bins / (hi - lo) for n_bins in (nb, m)]
+                if not all(0.0 < scale < math.inf for scale in scales):
+                    raise ValueError(
+                        f"input column {dataset.names[i]!r} spans [{lo!r}, {hi!r}]: its width "
+                        "or its bin scale overflows a float, so it cannot be cut into "
+                        "equal-width bins"
+                    )
+                offset -= lo
+                ratios = []
+                for n_bins, scale in zip((nb, m), scales):
+                    # the offsets are >= 0, so the cast's truncation is the floor
+                    np.multiply(offset, scale, out=idx, casting="unsafe")
+                    np.minimum(idx, n_bins - 1, out=idx)
+                    ratios.append(_conditional_variance_ratio(idx, n_bins, y, var_y))
+                first[i], marg[i] = ratios
+            codes[i] = idx
+            binned[i] = True
+
+    _run(bin_columns, _chunks(range(k), workers), scratch)
+    pairs = list(itertools.combinations(np.flatnonzero(binned).tolist(), 2))
+
+    sparse = [(i, j) for i, j in pairs if n_cells[i] * n_cells[j] > n / 5]
     notes = []
     if any(not (categorical[i] or categorical[j]) for i, j in sparse):
         notes.append("sparse grid: m^2 exceeds N/5")
     for i, j in sparse:
         if categorical[i] or categorical[j]:
             a, b = dataset.names[i], dataset.names[j]
-            ni, nj = cells[i][1], cells[j][1]
-            notes.append(f"sparse grid: pair ({a!r}, {b!r}) has {ni} x {nj} cells, more than N/5")
-    notes += degenerate
+            notes.append(
+                f"sparse grid: pair ({a!r}, {b!r}) has {n_cells[i]} x {n_cells[j]} cells, "
+                "more than N/5"
+            )
+    notes += [
+        f"degenerate input column {name!r}: indices set to 0"
+        for name, b in zip(dataset.names, binned)
+        if not b
+    ]
     for note in notes:
         warnings.warn(note, stacklevel=2)
 
-    # Joint cell of a pair: ci * nj + cj. The scaled index ci * nj is formed
-    # once per (i, nj) and shared by every later j with nj cells; both it and
-    # the joint index are written into one buffer each.
-    marg = {i: _conditional_variance_ratio(ci, nc, y, var_y) for i, (ci, nc) in cells.items()}
-    by_size = {}
-    for j, (_, nj) in cells.items():
-        by_size.setdefault(nj, []).append(j)
-    scaled = np.empty(n, dtype=np.int64)
-    joint = np.empty(n, dtype=np.int64)
-    second = np.zeros((k, k))
-    for i, (ci, ni) in cells.items():
-        for nj, js in by_size.items():
-            later = [j for j in js if j > i]
-            if not later:
-                continue
-            np.multiply(ci, nj, out=scaled)
-            for j in later:
-                np.add(scaled, cells[j][0], out=joint)
-                s_ij = _conditional_variance_ratio(joint, ni * nj, y, var_y)
-                second[i, j] = second[j, i] = s_ij - marg[i] - marg[j]
+    def pair_ratios(chunk, buf):
+        # Joint cell of a pair: ci * nj + cj, both read widened to int64. The
+        # scaled index ci * nj is formed once per (i, nj) and shared by the
+        # next pairs in the run that have the same i and nj.
+        scaled, joint = buf[0].view(np.int64), buf[1]
+        formed = None
+        for i, j in chunk:
+            nj = n_cells[j]
+            if formed != (i, nj):
+                np.multiply(codes[i], nj, out=scaled, dtype=np.int64)
+                formed = (i, nj)
+            np.add(scaled, codes[j], out=joint)
+            s_ij = _conditional_variance_ratio(joint, n_cells[i] * nj, y, var_y)
+            second[i, j] = second[j, i] = s_ij - marg[i] - marg[j]
+
+    _run(pair_ratios, _chunks(pairs, workers), scratch)
 
     combined = first + 0.5 * second.sum(axis=1)
     return SensitivityReport(

@@ -504,11 +504,14 @@ def _sampling_plan(section, n_key, seed_key):
 
 
 def _fraction(value, key):
-    """A number from a config in (0, 1], as a float: not a bool or a string."""
+    """A number from a config in (0, 1], as a float: not a bool or a string.
+    The range is checked first, as an integer too large for a float has no
+    float to convert to."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        value = float(value)
-        if 0.0 < value <= 1.0:
-            return value
+        if 0 < value <= 1:
+            return float(value)
+        if abs(value) <= sys.float_info.max:
+            value = float(value)
     raise UserInputError(f"{key} must lie in (0, 1], got {value!r}")
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +20,11 @@ from binsa import (
     get_model,
     sample_inputs,
 )
+import binsa
+from binsa import binning
 from binsa.binning import bin_count_first, bin_count_second_per_dim
+from binsa.core import stable_mean, stable_variance
+from test_core import _tied_signed_zero_vector
 from test_golden import CASES
 
 _TABLE = {
@@ -358,3 +366,121 @@ def test_first_order_bounds_across_models():
         rep = analyze(Dataset(inputs=x, output=evaluate(m, x), specs=specs))
         assert np.all(rep.first_order >= -0.02) and np.all(rep.first_order <= 1.02)
         assert np.all(np.abs(rep.second_order) <= 1.02)
+
+
+@pytest.mark.parametrize("n", [127, 128, 129, 100_000])
+def test_analyze_variance_takes_the_sorted_outputs_plain_sum_as_mean(n):
+    # analyze sums the output in its argsort order; stable_mean sums np.sort's
+    # order. The two differ only in where +0.0 and -0.0 fall among ties
+    rng = np.random.default_rng(n)
+    y = _tied_signed_zero_vector(rng, n)
+    sorted_y = y[np.argsort(y)]
+    assert np.float64(np.sum(sorted_y) / n).tobytes() == np.float64(stable_mean(y)).tobytes()
+    rep = analyze(_uniform_dataset([rng.random(n)], y))
+    assert np.float64(rep.var_y).tobytes() == np.float64(stable_variance(y)).tobytes()
+
+
+def _two_inputs():
+    x = np.random.default_rng(16).random((3000, 2))
+    return _uniform_dataset(list(x.T), x[:, 0] + x[:, 0] * x[:, 1]), None
+
+
+def _categorical_300_levels():
+    # 300 levels do not fit in a byte: the pair-grid codes are uint16
+    rng = np.random.default_rng(17)
+    cat = rng.integers(0, 300, size=20_000).astype(float)
+    u = rng.random((20_000, 2))
+    levels = tuple(f"l{i}" for i in range(300))
+    specs = (
+        InputSpec("c", MarginalDistribution.categorical(levels, (1 / 300,) * 300)),
+        InputSpec("u1", MarginalDistribution.uniform(0, 1)),
+        InputSpec("u2", MarginalDistribution.uniform(0, 1)),
+    )
+    y = 0.01 * cat * u[:, 0] + u[:, 1]
+    return Dataset(inputs=np.column_stack([cat, u]), output=y, specs=specs), None
+
+
+def _pair_grid_300():
+    x = np.random.default_rng(18).random((20_000, 4))
+    y = x[:, 0] * x[:, 1] + x[:, 2] - x[:, 3]
+    return _uniform_dataset(list(x.T), y), BinningConfig(n_bins_second_per_dim=300)
+
+
+_WORKER_CASES = {
+    "two_inputs": _two_inputs,
+    "interaction_3": CASES["interaction_3"],
+    "additive_12": CASES["additive_12"],
+    "categorical_300_levels": _categorical_300_levels,
+    "pair_grid_300": _pair_grid_300,
+    "degenerate_column": CASES["degenerate_column"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WORKER_CASES))
+def test_analyze_is_bitwise_equal_for_any_worker_count(monkeypatch, case):
+    ds, config = _WORKER_CASES[case]()
+    k = ds.n_inputs
+    splits = []
+    run = binning._run
+    monkeypatch.setattr(
+        binning, "_run", lambda work, chunks, scratch: splits.append(len(chunks)) or run(work, chunks, scratch)
+    )
+    reports = []
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(binning, "_usable_cpus", lambda cpus=cpus: cpus)
+        splits.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reports.append(analyze(ds, config))
+        # the columns are split one run per worker: min(pairs, CPUs) of them
+        assert splits[0] == min(cpus, max(1, k * (k - 1) // 2))
+    for rep in reports[1:]:
+        for field in ("first_order", "second_order", "combined", "var_y"):
+            assert np.asarray(getattr(rep, field)).tobytes() == np.asarray(getattr(reports[0], field)).tobytes(), field
+        assert rep.warnings == reports[0].warnings
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_analyze_names_the_first_bad_column_for_any_worker_count(monkeypatch, cpus):
+    # x2 and x4 both lack a bin geometry and fall in different workers' runs
+    monkeypatch.setattr(binning, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(19)
+    bad = np.array([1.5e308, -1.5e308, 0.0, 1.0] * 50)
+    other = rng.random((200, 2))
+    ds = _uniform_dataset([other[:, 0], bad, other[:, 1], bad], other.sum(axis=1))
+    with pytest.raises(ValueError, match="input column 'x2' spans"):
+        analyze(ds)
+
+
+def test_analyze_builds_its_pool_again_after_a_fork(monkeypatch):
+    # a forked child inherits the pool object but none of its threads
+    monkeypatch.setattr(binning, "_usable_cpus", lambda: 2)
+    stale = object()
+    monkeypatch.setattr(binning, "_POOL", (-1, stale))
+    ds, _ = CASES["interaction_3"]()
+    analyze(ds)
+    pid, pool = binning._POOL
+    pool.shutdown()
+    assert pid == os.getpid() and pool is not stale
+
+
+def test_two_input_analyze_imports_no_executor_and_starts_no_thread():
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "import binsa\n"
+        "from binsa import binning\n"
+        "x = np.random.default_rng(1).random((2000, 3))\n"
+        "specs = tuple(binsa.InputSpec(f'x{i}', binsa.MarginalDistribution.uniform(0, 1))\n"
+        "              for i in range(3))\n"
+        "binsa.analyze(binsa.Dataset(inputs=x[:, :2], output=x[:, 0] * x[:, 1], specs=specs[:2]))\n"
+        "assert 'concurrent.futures' not in sys.modules, 'executor imported'\n"
+        "assert threading.active_count() == 1, 'thread started'\n"
+        "binning._usable_cpus = lambda: 2\n"
+        "binsa.analyze(binsa.Dataset(inputs=x, output=x.sum(axis=1), specs=specs))\n"
+        "assert 'concurrent.futures' in sys.modules and threading.active_count() > 1\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

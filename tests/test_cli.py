@@ -601,6 +601,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          r"dependence\[0\]\.pair must hold input indices, got None"),
         ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": 0.5}, [],
          "sweep_grid must be a JSON list of numbers, got 0.5"),
+        ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 10**400}}, [],
+         r"simdec\.cum_threshold must lie in \(0, 1\], got 10{400}$"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -612,7 +614,7 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "fractional-output-bins", "fractional-oracle-n", "bool-rho", "rho-out-of-range",
          "string-fraction", "bad-sign", "int-method", "int-oracle-sampler",
          "string-cum-threshold", "dependence-object", "three-index-pair", "repeated-pair",
-         "missing-pair", "scalar-sweep-grid"],
+         "missing-pair", "scalar-sweep-grid", "huge-int-cum-threshold"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):
