@@ -9,6 +9,8 @@ scenario decomposition.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,11 +56,16 @@ def get_model(name, **params):
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
     if name == "ishigami":
-        a = float(params.pop("a", 7.0))
-        b = float(params.pop("b", 0.1))
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("ishigami parameters must be finite")
-        params = {"a": a, "b": b}
+        params = {"a": 7.0, "b": 0.1, **params}
+        for key, value in params.items():
+            if key not in ("a", "b"):
+                raise ValueError(f"model 'ishigami' has no parameter {key!r}; it takes a and b")
+            # abs(value) <= the largest float also rules out NaN and an int
+            # that float() cannot convert
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not number or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"ishigami parameter {key!r} must be a finite number, got {value!r}")
+        params = {key: float(value) for key, value in params.items()}
     elif params:
         raise ValueError(f"model {name!r} takes no parameters")
     return Model(name=name, arity=_ARITY[name], params=params)

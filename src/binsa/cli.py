@@ -314,21 +314,12 @@ def _parser():
 
 
 def _config_from_args(args):
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "n": getattr(args, "n", None),
-        "sampler": getattr(args, "sampler", None),
-        "bins": getattr(args, "bins", None),
-        "out": getattr(args, "out", None),
-    }
-    if getattr(args, "config", None):
+    # config_from_dict reads the flags that override config keys from these
+    overrides = vars(args)
+    if args.config:
         return load_config(args.config, overrides)
-    raw = {}
-    if getattr(args, "dataset", None):
-        raw["dataset"] = args.dataset
-    if getattr(args, "model", None):
-        raw["model"] = args.model
-    if "dataset" not in raw and "model" not in raw:
+    raw = {key: overrides[key] for key in ("dataset", "model") if overrides.get(key)}
+    if not raw:
         raise UserInputError("provide a dataset path, --model, or --config")
     return config_from_dict(raw, overrides)
 

@@ -13,9 +13,10 @@ import io
 import itertools
 import json
 import math
+import re
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -385,62 +386,26 @@ def scenario_table_csv(decomposition, input_names, metadata=None):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A full study: either a built-in model or an external dataset."""
+    """A full study: a built-in model or a dataset file; _KEYS has the defaults."""
 
-    model: str | None = None
-    model_params: dict = field(default_factory=dict)
-    law: str = "normal"
-    dataset_path: str | None = None
-    sampling: SamplingPlan = SamplingPlan(method="QMC", n=1000, seed=0)
-    dependence: tuple = ()
-    binning: BinningConfig = BinningConfig()
-    simdec_max_inputs: int = 3
-    simdec_cum_threshold: float = 0.8
-    n_output_bins: int = 100
-    oracle_n: int = 1500
-    oracle_sampler: str = "QMC"
-    sweep_grid: tuple = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75)
-    out_dir: str = "."
+    model: str | None
+    model_params: dict
+    law: str
+    dataset_path: str | None
+    sampling: SamplingPlan
+    dependence: tuple
+    binning: BinningConfig
+    simdec_max_inputs: int
+    simdec_cum_threshold: float
+    n_output_bins: int
+    oracle_n: int
+    oracle_sampler: str
+    sweep_grid: tuple
+    out_dir: str
 
     def __post_init__(self):
         if (self.model is None) == (self.dataset_path is None):
             raise UserInputError("config must set exactly one of model or dataset")
-
-
-def _parse_dependence(items):
-    if not isinstance(items, list):
-        raise UserInputError(f"dependence must be a JSON list of objects, got {items!r}")
-    plans = []
-    for k, d in enumerate(items):
-        if not isinstance(d, dict):
-            raise UserInputError(f"dependence[{k}] must be a JSON object, got {d!r}")
-        kind = d.get("kind")
-        pair = d.get("pair")
-        if not isinstance(pair, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in pair
-        ):
-            raise UserInputError(f"dependence[{k}].pair must hold input indices, got {pair!r}")
-        if len(pair) != 2 or pair[0] == pair[1]:
-            raise UserInputError(
-                f"dependence[{k}].pair must name two distinct inputs, got {pair!r}"
-            )
-        pair = tuple(pair)
-        if kind == "copula":
-            rho = _number_in(d.get("rho", 0.0), f"dependence[{k}].rho", -1, 1)
-            plans.append(DependencePlan(kind="copula", pair=pair, rho=float(rho)))
-        elif kind == "equal_portion":
-            fraction = _number_in(d.get("fraction", 0.0), f"dependence[{k}].fraction", 0, 1)
-            sign = d.get("sign", "positive")
-            if sign not in ("positive", "negative"):
-                raise UserInputError(
-                    f"dependence[{k}].sign must be 'positive' or 'negative', got {sign!r}"
-                )
-            plans.append(DependencePlan(
-                kind="equal_portion", pair=pair, fraction=float(fraction), sign=sign
-            ))
-        else:
-            raise UserInputError(f"unknown dependence kind {kind!r}")
-    return tuple(plans)
 
 
 def load_config(path, overrides=None):
@@ -453,60 +418,26 @@ def load_config(path, overrides=None):
     return config_from_dict(raw, overrides)
 
 
-def _bin_count(value, key):
-    """A bin count as set in a config or flag: None (automatic) or a whole
-    number >= 2, which a float with no fraction part (JSON 1e3) may give."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 2):
-        raise UserInputError(f"{key} must be an integer >= 2, got {value!r}")
-    return value
-
-
-def _whole_number(value, key, minimum):
-    """A whole number from a config or flag, >= minimum: an integer, or a
-    float with no fraction part (JSON 1e5), but not a bool."""
+def _whole(value, key, minimum, noun="a whole number"):
+    """An integer >= minimum, which a float with no fraction part (JSON 1e5)
+    may give; not a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise UserInputError(f"{key} must be a whole number >= {minimum}, got {value!r}")
+        raise UserInputError(f"{key} must be {noun} >= {minimum}, got {value!r}")
     return value
 
 
-def _number_in(value, key, lo, hi):
-    """A number from a config in [lo, hi]: an int or a float, not a bool or
-    a string."""
+def _number(value, key, lo, hi):
+    """An int or a float in [lo, hi]; not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value <= hi:
         raise UserInputError(f"{key} must be a number in [{lo}, {hi}], got {value!r}")
     return value
 
 
-def _method(value, key, choices):
-    """A sampler name from a config, in any case: one of choices, upper-cased."""
-    method = value.upper() if isinstance(value, str) else value
-    if method not in choices:
-        names = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
-        raise UserInputError(f"{key} must be {names}, got {method!r}")
-    return method
-
-
-def _sampling_plan(section, n_key, seed_key):
-    """The sampling section, with the flags already merged in, as a plan."""
-    method = _method(section.get("method", "QMC"), "sampling.method", ("MC", "QMC", "FFD"))
-    n = _whole_number(section.get("n", 1000), n_key, 2)
-    if method == "QMC" and n > MAX_SOBOL_POINTS:
-        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
-    scramble = section.get("scramble", True)
-    if not isinstance(scramble, bool):
-        raise UserInputError(f"sampling.scramble must be true or false, got {scramble!r}")
-    seed = _whole_number(section.get("seed", 0), seed_key, 0)
-    return SamplingPlan(method=method, n=n, seed=seed, scramble=scramble)
-
-
 def _fraction(value, key):
-    """A number from a config in (0, 1], as a float: not a bool or a string.
-    The range is checked first, as an integer too large for a float has no
-    float to convert to."""
+    """A number in (0, 1], as a float; not a bool. The range is checked first,
+    as an integer too large for a float has no float to convert to."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         if 0 < value <= 1:
             return float(value)
@@ -515,91 +446,159 @@ def _fraction(value, key):
     raise UserInputError(f"{key} must lie in (0, 1], got {value!r}")
 
 
-def _section(raw, key):
-    """A copy of the JSON object at raw[key] ({} when absent)."""
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise UserInputError(f"{key} must be a JSON object, got {section!r}")
-    return dict(section)
+def _choice(value, key, options, upper=False):
+    """One of options; with upper, a string in any case, upper-cased."""
+    if upper and isinstance(value, str):
+        value = value.upper()
+    if value not in options:
+        names = ", ".join(map(repr, options[:-1])) + f" or {options[-1]!r}"
+        raise UserInputError(f"{key} must be {names}, got {value!r}")
+    return value
 
 
-def _sweep_grid(values):
-    if not isinstance(values, (list, tuple)):
-        raise UserInputError(f"sweep_grid must be a JSON list of numbers, got {values!r}")
-    return tuple(_number_in(v, f"sweep_grid[{i}]", -1, 1) for i, v in enumerate(values))
+def _typed(value, key, types, noun):
+    """A value of types, which the message calls noun; not an empty string."""
+    if not isinstance(value, types) or value == "":
+        raise UserInputError(f"{key} must be {noun}, got {value!r}")
+    return value
+
+
+def _list(value, key, nonempty, noun, check, *args):
+    """A JSON list, as a tuple of its items, each checked at key[i]."""
+    if not isinstance(value, (list, tuple)):
+        raise UserInputError(f"{key} must be a JSON list of {noun}, got {value!r}")
+    if nonempty and not value:
+        raise UserInputError(f"{key} must not be empty")
+    return tuple(check(item, f"{key}[{i}]", *args) for i, item in enumerate(value))
+
+
+def _pair(value, key):
+    """Two distinct input indices, as a tuple (the CLI checks that the model
+    has them)."""
+    if not isinstance(value, list) or not all(type(i) is int for i in value):
+        raise UserInputError(f"{key} must hold input indices, got {value!r}")
+    if len(value) != 2 or value[0] == value[1]:
+        raise UserInputError(f"{key} must name two distinct inputs, got {value!r}")
+    return tuple(value)
+
+
+def _plan(value, key):
+    """A dependence plan: an object of a kind, a pair and what else it takes."""
+    kind = _typed(value, key, dict, "a JSON object").get("kind")
+    if not isinstance(kind, str) or kind not in _PLAN_KEYS:
+        raise UserInputError(f"unknown dependence kind {kind!r}")
+    _pair(value.get("pair"), f"{key}.pair")  # a plan must name its pair
+    return DependencePlan(**_walk(value, f"{key}.", "dependence[k].", _PLAN_KEYS[kind]))
+
+
+# the keys that a dependence plan of each kind takes
+_PLAN_KEYS = {
+    "copula": ("kind", "pair", "rho"),
+    "equal_portion": ("kind", "pair", "fraction", "sign"),
+}
+# Every key that a config may hold, by path: its default, its check and the
+# check's arguments. A key whose default is null may be set to null. The
+# keys of each plan in the dependence list are at dependence[k].
+_KEYS = {
+    "model": (None, _typed, (str, dict), "a model name or a JSON object"),
+    "dataset": (None, _typed, str, "a non-empty string"),
+    "out": (".", _typed, str, "a non-empty string"),
+    "law": ("normal", _choice, ("normal", "uniform")),
+    "seed": (0, _whole, 0),
+    "sampling.method": ("QMC", _choice, ("MC", "QMC", "FFD"), True),
+    "sampling.n": (1000, _whole, 2),
+    "sampling.seed": (0, _whole, 0),
+    "sampling.scramble": (True, _typed, bool, "true or false"),
+    "binning.n_bins_first": (None, _whole, 2, "an integer"),
+    "binning.n_bins_second_per_dim": (None, _whole, 2, "an integer"),
+    "simdec.max_inputs": (3, _whole, 1),
+    "simdec.cum_threshold": (0.8, _fraction),
+    "simdec.n_output_bins": (100, _whole, 1),
+    "oracle.n": (1500, _whole, 128),
+    "oracle.sampler": ("QMC", _choice, ("MC", "QMC"), True),
+    "sweep_grid": ((-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75),
+                   _list, True, "numbers", _number, -1, 1),
+    "dependence": ((), _list, False, "objects", _plan),
+    "dependence[k].kind": (None, _choice, tuple(_PLAN_KEYS)),
+    "dependence[k].pair": (None, _pair),
+    "dependence[k].rho": (0.0, _number, -1, 1),
+    "dependence[k].fraction": (0.0, _number, 0, 1),
+    "dependence[k].sign": ("positive", _choice, ("positive", "negative")),
+}
+# The key that each flag overrides. A flag that is set takes its key's
+# place, and a message about its value names the flag.
+_FLAGS = {
+    "seed": "sampling.seed",
+    "n": "sampling.n",
+    "sampler": "sampling.method",
+    "bins": "binning.n_bins_first",
+    "out": "out",
+}
+
+
+def _walk(node, prefix="", template="", names=None):
+    """The keys of the JSON object node, each value checked, by path below
+    node. A key is at prefix + key in the config and at template + key in
+    _KEYS. Only names may be keys: by default, the first part of each path
+    below template. A key that is not a whole path holds an object."""
+    if names is None:
+        names = {re.split(r"[.[]", e[len(template):])[0] for e in _KEYS if e.startswith(template)}
+    given = {}
+    for key, value in node.items():
+        path, entry = prefix + key, template + key
+        if key not in names:
+            raise UserInputError(f"unknown config key {path!r}")
+        if entry in _KEYS:
+            default, check, *args = _KEYS[entry]
+            given[key] = value if value is None and default is None else check(value, path, *args)
+        else:
+            inner = _walk(_typed(value, path, dict, "a JSON object"), path + ".", entry + ".")
+            given.update((f"{key}.{k}", v) for k, v in inner.items())
+    return given
 
 
 def config_from_dict(raw, overrides=None):
+    """The StudyConfig of a config's JSON object raw, every key checked. A
+    flag in overrides (named less its "--") that is not None beats its key
+    in _FLAGS; sampling.seed beats the top-level seed."""
     if not isinstance(raw, dict):
         raise UserInputError(f"config must be a JSON object, got {type(raw).__name__}")
     overrides = overrides or {}
-    model = raw.get("model")
-    model_params = {}
+    given = _walk(raw)
+    if "seed" in given:
+        given.setdefault("sampling.seed", given["seed"])
+    for flag, path in _FLAGS.items():
+        if overrides.get(flag) is not None:
+            _, check, *args = _KEYS[path]
+            given[path] = check(overrides[flag], f"--{flag}", *args)
+    v = {path: given.get(path, entry[0]) for path, entry in _KEYS.items()}
+    if v["sampling.method"] == "QMC" and v["sampling.n"] > MAX_SOBOL_POINTS:
+        n_key = "sampling.n" if overrides.get("n") is None else "--n"
+        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {v['sampling.n']}")
+    model, params = v["model"], {}
     if isinstance(model, dict):
-        model_params = {k: v for k, v in model.items() if k != "name"}
-        model = model.get("name")
-    sampling_raw = _section(raw, "sampling")
-    binning_raw = _section(raw, "binning")
-    simdec_raw = _section(raw, "simdec")
-    oracle_raw = _section(raw, "oracle")
-    seed_key, n_key = "sampling.seed", "sampling.n"
-    if overrides.get("seed") is not None:
-        sampling_raw["seed"] = overrides["seed"]
-        seed_key = "--seed"
-    elif "seed" in raw and "seed" not in sampling_raw:
-        sampling_raw["seed"] = raw["seed"]
-        seed_key = "seed"
-    if overrides.get("n") is not None:
-        sampling_raw["n"] = overrides["n"]
-        n_key = "--n"
-    if overrides.get("sampler") is not None:
-        sampling_raw["method"] = overrides["sampler"]
-    first_key = "binning.n_bins_first"
-    if overrides.get("bins") is not None:
-        binning_raw["n_bins_first"] = overrides["bins"]
-        first_key = "--bins"
-    out_dir = overrides.get("out") or raw.get("out", ".")
-    try:
-        plan = _sampling_plan(sampling_raw, n_key, seed_key)
-        dependence = _parse_dependence(raw.get("dependence", []))
-        law = raw.get("law", "normal")
-        if law not in ("normal", "uniform"):
-            raise UserInputError(f"law must be 'normal' or 'uniform', got {law!r}")
-        return StudyConfig(
-            model=model,
-            model_params=model_params,
-            law=law,
-            dataset_path=raw.get("dataset"),
-            sampling=plan,
-            dependence=dependence,
-            binning=BinningConfig(
-                n_bins_first=_bin_count(binning_raw.get("n_bins_first"), first_key),
-                n_bins_second_per_dim=_bin_count(
-                    binning_raw.get("n_bins_second_per_dim"), "binning.n_bins_second_per_dim"
-                ),
-            ),
-            simdec_max_inputs=_whole_number(
-                simdec_raw.get("max_inputs", 3), "simdec.max_inputs", 1
-            ),
-            simdec_cum_threshold=_fraction(
-                simdec_raw.get("cum_threshold", 0.8), "simdec.cum_threshold"
-            ),
-            n_output_bins=_whole_number(
-                simdec_raw.get("n_output_bins", 100), "simdec.n_output_bins", 1
-            ),
-            oracle_n=_whole_number(oracle_raw.get("n", 1500), "oracle.n", 128),
-            oracle_sampler=_method(
-                oracle_raw.get("sampler", "QMC"), "oracle.sampler", ("MC", "QMC")
-            ),
-            sweep_grid=_sweep_grid(
-                raw.get("sweep_grid", (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75))
-            ),
-            out_dir=out_dir,
-        )
-    except UserInputError:
-        raise
-    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-        raise UserInputError(f"invalid config: {exc}") from None
+        model, params = model.get("name"), {k: p for k, p in model.items() if k != "name"}
+    return StudyConfig(
+        model=model,
+        model_params=params,
+        law=v["law"],
+        dataset_path=v["dataset"],
+        sampling=SamplingPlan(
+            method=v["sampling.method"],
+            n=v["sampling.n"],
+            seed=v["sampling.seed"],
+            scramble=v["sampling.scramble"],
+        ),
+        dependence=v["dependence"],
+        binning=BinningConfig(v["binning.n_bins_first"], v["binning.n_bins_second_per_dim"]),
+        simdec_max_inputs=v["simdec.max_inputs"],
+        simdec_cum_threshold=v["simdec.cum_threshold"],
+        n_output_bins=v["simdec.n_output_bins"],
+        oracle_n=v["oracle.n"],
+        oracle_sampler=v["oracle.sampler"],
+        sweep_grid=v["sweep_grid"],
+        out_dir=v["out"],
+    )
 
 
 def _state(st, where, column, levels):

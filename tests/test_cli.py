@@ -603,6 +603,26 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "sweep_grid must be a JSON list of numbers, got 0.5"),
         ("simdec", {"model": "ishigami", "simdec": {"cum_threshold": 10**400}}, [],
          r"simdec\.cum_threshold must lie in \(0, 1\], got 10{400}$"),
+        ("analyze", {"model": "ishigami", "binnig": {"n_bins_first": 12}}, ["--n", "500"],
+         "unknown config key 'binnig'"),
+        ("analyze", {"model": "ishigami", "sampling": {"nn": 300}}, ["--n", "500"],
+         r"unknown config key 'sampling\.nn'"),
+        ("analyze", {"model": "ishigami", "oracle": {"nn": 5}}, ["--n", "500"],
+         r"unknown config key 'oracle\.nn'"),
+        ("analyze", {"model": "two_factor_additive",
+                     "dependence": [{"kind": "copula", "pair": [0, 1], "fraction": 0.5}]},
+         ["--n", "500"], r"unknown config key 'dependence\[0\]\.fraction'"),
+        ("analyze", {"dataset": False}, [], "dataset must be a non-empty string, got False"),
+        ("analyze", {"dataset": 5}, [], "dataset must be a non-empty string, got 5"),
+        ("analyze", {"model": "ishigami", "out": 7}, [], "out must be a non-empty string, got 7"),
+        ("sweep-dependence", {"model": "two_factor_additive", "sweep_grid": []}, [],
+         "sweep_grid must not be empty"),
+        ("sample", {"model": {"name": "ishigami", "zz": 1}}, [],
+         "model 'ishigami' has no parameter 'zz'"),
+        ("sample", {"model": {"name": "ishigami", "a": "7"}}, [],
+         "ishigami parameter 'a' must be a finite number, got '7'"),
+        ("sample", {"model": {"name": "ishigami", "a": True}}, [],
+         "ishigami parameter 'a' must be a finite number, got True"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -614,7 +634,10 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "fractional-output-bins", "fractional-oracle-n", "bool-rho", "rho-out-of-range",
          "string-fraction", "bad-sign", "int-method", "int-oracle-sampler",
          "string-cum-threshold", "dependence-object", "three-index-pair", "repeated-pair",
-         "missing-pair", "scalar-sweep-grid", "huge-int-cum-threshold"],
+         "missing-pair", "scalar-sweep-grid", "huge-int-cum-threshold", "unknown-section",
+         "unknown-sampling-key", "unknown-oracle-key", "key-of-another-kind", "bool-dataset",
+         "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
+         "string-model-parameter", "bool-model-parameter"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

@@ -556,3 +556,11 @@ def test_config_bin_counts_may_be_written_as_floats():
     message = r"binning\.n_bins_first must be an integer >= 2, got 10\.5"
     with pytest.raises(UserInputError, match=message):
         config_from_dict({"model": "ishigami", "binning": {"n_bins_first": 10.5}})
+
+
+def test_config_seed_is_the_flag_then_sampling_seed_then_the_top_level_seed():
+    both = {"model": "ishigami", "seed": 1, "sampling": {"seed": 2}}
+    assert config_from_dict(both, overrides={"seed": 3}).sampling.seed == 3
+    assert config_from_dict(both).sampling.seed == 2
+    assert config_from_dict({"model": "ishigami", "seed": 1}).sampling.seed == 1
+    assert config_from_dict({"model": "ishigami"}).sampling.seed == 0

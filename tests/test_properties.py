@@ -1,12 +1,16 @@
 """Property tests: the estimator's indices are a function of the set of
 (input row, output) pairs alone, not of their order or of how the input
-matrix is laid out in memory; a dataset CSV reads back to the same bytes."""
+matrix is laid out in memory; a dataset CSV reads back to the same bytes; a
+bad or unknown config key is a user-input error that names its path."""
 
+import copy
 import csv
 import math
+import re
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +23,7 @@ from binsa import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from binsa.io import fmt_number
+from binsa.io import _KEYS, UserInputError, config_from_dict, fmt_number
 
 
 def _report_bytes(inputs, output, specs, config):
@@ -115,3 +119,123 @@ def test_dataset_csv_write_read_write_is_byte_stable(tmp_path_factory, data, n):
     assert [r[1] for r in rows] == [fmt_number(v) for v in ds.inputs[:, 1]]
     assert [r[2] for r in rows] == [levels[int(v)] for v in ds.inputs[:, 2]]
     assert [r[3] for r in rows] == [fmt_number(v) for v in ds.output]
+
+
+# A config that sets every key but dataset (it may not be set with model).
+_VALID_CONFIG = {
+    "model": "two_factor_additive",
+    "out": "results",
+    "law": "uniform",
+    "seed": 4,
+    "sampling": {"method": "mc", "n": 500, "seed": 3, "scramble": False},
+    "binning": {"n_bins_first": 12, "n_bins_second_per_dim": 4},
+    "simdec": {"max_inputs": 2, "cum_threshold": 0.5, "n_output_bins": 20},
+    "oracle": {"n": 256, "sampler": "MC"},
+    "sweep_grid": [-0.5, 0, 0.5],
+    "dependence": [
+        {"kind": "copula", "pair": [0, 1], "rho": 0.5},
+        {"kind": "equal_portion", "pair": [1, 0], "fraction": 0.25, "sign": "negative"},
+    ],
+}
+# the plan of _VALID_CONFIG's dependence list that holds each plan key
+_PLAN_INDEX = {"pair": 1, "rho": 0, "fraction": 1, "sign": 1}
+
+_NOT_A_NUMBER = st.one_of(
+    st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+_NOT_A_STRING = st.one_of(st.just(""), st.integers(), st.booleans(), st.floats(),
+                          st.lists(st.text(max_size=2), max_size=2))
+
+
+def _not_whole(minimum, null_ok=False):
+    below = st.integers(max_value=minimum - 1)
+    return st.one_of(below, below.map(float), st.floats().filter(lambda x: not x.is_integer()),
+                     _NOT_A_NUMBER.filter(lambda v: not (null_ok and v is None)))
+
+
+def _outside(inside):
+    return st.one_of(st.floats().filter(lambda x: not inside(x)),
+                     st.integers().filter(lambda i: not inside(i)), _NOT_A_NUMBER)
+
+
+def _not_one_of(*options, upper=False):
+    text = st.text(max_size=6).filter(lambda t: (t.upper() if upper else t) not in options)
+    return st.one_of(text, st.integers(), st.none(), st.booleans())
+
+
+# Values that each config key must refuse: a wrong type, or a value out of
+# range. dependence[k].kind is not here: the message of an unknown kind,
+# "unknown dependence kind ...", names the kind and not the key.
+_INVALID = {
+    "model": st.one_of(st.just(""), st.integers(), st.booleans(), st.lists(st.text(), max_size=2)),
+    "dataset": _NOT_A_STRING,
+    "out": st.one_of(st.none(), _NOT_A_STRING),
+    "law": _not_one_of("normal", "uniform"),
+    "seed": _not_whole(0),
+    "sampling.method": _not_one_of("MC", "QMC", "FFD", upper=True),
+    "sampling.n": _not_whole(2),
+    "sampling.seed": _not_whole(0),
+    "sampling.scramble": st.one_of(st.integers(), st.text(max_size=5), st.none(), st.floats()),
+    "binning.n_bins_first": _not_whole(2, null_ok=True),
+    "binning.n_bins_second_per_dim": _not_whole(2, null_ok=True),
+    "simdec.max_inputs": _not_whole(1),
+    "simdec.cum_threshold": _outside(lambda x: 0 < x <= 1),
+    "simdec.n_output_bins": _not_whole(1),
+    "oracle.n": _not_whole(128),
+    "oracle.sampler": _not_one_of("MC", "QMC", upper=True),
+    "sweep_grid": st.one_of(st.just([]), _NOT_A_NUMBER.filter(lambda v: not isinstance(v, list)),
+                            _outside(lambda x: -1 <= x <= 1).map(lambda v: [0.5, v])),
+    "dependence": st.one_of(st.integers(), st.text(max_size=3), st.just({}),
+                            st.lists(st.one_of(st.integers(), st.none(), st.lists(st.integers())),
+                                     min_size=1, max_size=2)),
+    "dependence[k].pair": st.one_of(
+        st.none(), st.integers(), st.text(max_size=3), st.integers(0, 5).map(lambda i: [i, i]),
+        st.lists(st.integers(0, 5), max_size=4).filter(lambda p: len(p) != 2),
+        st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), min_size=1, max_size=2),
+    ),
+    "dependence[k].rho": _outside(lambda x: -1 <= x <= 1),
+    "dependence[k].fraction": _outside(lambda x: 0 <= x <= 1),
+    "dependence[k].sign": _not_one_of("positive", "negative"),
+}
+
+
+def _node(config, section):
+    """The object at a section path ("" for the top, "sampling", "dependence[1]")."""
+    node = config
+    for name, index in re.findall(r"(\w+)(?:\[(\d+)\])?", section):
+        node = node[name] if not index else node[name][int(index)]
+    return node
+
+
+def test_the_property_config_is_valid_and_covers_every_key():
+    config = config_from_dict(copy.deepcopy(_VALID_CONFIG))
+    assert (config.sampling.method, config.sampling.seed, len(config.dependence)) == ("MC", 3, 2)
+    assert set(_INVALID) == set(_KEYS) - {"dependence[k].kind"}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_bad_or_unknown_config_key_is_a_user_input_error_naming_its_path(data):
+    config = copy.deepcopy(_VALID_CONFIG)
+    if data.draw(st.booleans(), label="unknown key"):
+        section = data.draw(st.sampled_from(
+            ["", "sampling", "binning", "simdec", "oracle", "dependence[0]", "dependence[1]"]))
+        # every name that the table uses anywhere, so that a key of another
+        # section or of the other plan kind is tried too
+        names = sorted({name for e in _KEYS for name in re.findall(r"\w+", e)} - {"k"})
+        key = data.draw(st.one_of(st.sampled_from(names), st.text(max_size=8)), label="key")
+        assume(key not in _node(config, section) and (section or key != "dataset"))
+        value = data.draw(st.integers(), label="value")
+        expected = repr(f"{section}.{key}" if section else key)
+    else:
+        entry = data.draw(st.sampled_from(sorted(_INVALID)), label="entry")
+        section, _, key = entry.rpartition(".")
+        if section == "dependence[k]":
+            section = f"dependence[{_PLAN_INDEX[key]}]"
+        value = data.draw(_INVALID[entry], label="value")
+        expected = f"{section}.{key}" if section else key
+    _node(config, section)[key] = value
+    with pytest.raises(UserInputError) as err:
+        config_from_dict(config)
+    assert expected in str(err.value)
