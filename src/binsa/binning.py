@@ -103,40 +103,37 @@ def _usable_cpus():
 # bounded on hosts with many CPUs.
 _MAX_WORKERS = 8
 
-# The thread pool, built by the first call that splits its work, and built
-# again in a forked child, whose copy has no threads behind it.
-_POOL = None  # (pid, ThreadPoolExecutor)
-_POOL_LOCK = threading.Lock()
-
-
 def _chunks(items, n_chunks):
-    """items cut into at most n_chunks contiguous runs of near-equal length."""
+    """items cut into at most n_chunks contiguous runs of near-equal length:
+    one run, empty, when items is."""
     n_chunks = max(1, min(n_chunks, len(items)))
     q, r = divmod(len(items), n_chunks)
     bounds = [c * q + min(c, r) for c in range(n_chunks + 1)]
-    return [items[a:b] for a, b in zip(bounds, bounds[1:]) if a < b]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _run(work, chunks, scratch):
-    """work(chunks[c], scratch[c]) for every c: in the calling thread for one
-    chunk, else on the pool. Waits for every chunk before it raises the
-    first chunk's error, so which error surfaces does not depend on timing."""
-    if len(chunks) < 2:
-        for chunk in chunks:
-            work(chunk, scratch[0])
-        return
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None or _POOL[0] != os.getpid():
-            from concurrent.futures import ThreadPoolExecutor
+    """work(chunks[c], scratch[c]) for every c: chunks[0] in the calling
+    thread, each other chunk on a thread of its own, started and joined
+    here. Waits for every chunk before it raises the first chunk's error, so
+    which error surfaces does not depend on timing."""
+    errors = [None] * len(chunks)
 
-            _POOL = (os.getpid(), ThreadPoolExecutor(min(_usable_cpus(), _MAX_WORKERS)))
-        pool = _POOL[1]
-    futures = [pool.submit(work, chunk, buf) for chunk, buf in zip(chunks, scratch)]
-    for future in futures:
-        future.exception()
-    for future in futures:
-        future.result()
+    def run(c):
+        try:
+            work(chunks[c], scratch[c])
+        except BaseException as exc:
+            errors[c] = exc
+
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, len(chunks))]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
@@ -178,10 +175,12 @@ def analyze(dataset, config=None):
     ValueError names it.
 
     The columns, and then the pairs, are split into contiguous runs, one per
-    worker thread: as many workers as there are pairs or CPUs this process
-    may use, whichever is fewer, and at most 8. With one worker (two inputs,
-    or one CPU) the work runs in the calling thread and no thread starts.
-    There is no setting: every index comes from the same numpy calls on the
+    worker: as many workers as there are pairs or CPUs this process may
+    use, whichever is fewer, and at most 8. The calling thread runs the
+    first run, and a thread started for the call runs each other run; the
+    call joins them all before it returns, so no thread outlives it. With
+    one worker (two inputs, or one CPU) no thread starts. There is no
+    setting: every index comes from the same numpy calls on the
     same arrays however the work is split, so the report is bitwise
     identical for any number of workers.
     """

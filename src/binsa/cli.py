@@ -316,12 +316,9 @@ def _parser():
 def _config_from_args(args):
     # config_from_dict reads the flags that override config keys from these
     overrides = vars(args)
-    if args.config:
-        return load_config(args.config, overrides)
-    raw = {key: overrides[key] for key in ("dataset", "model") if overrides.get(key)}
-    if not raw:
+    if not any(overrides.get(key) for key in ("config", "dataset", "model")):
         raise UserInputError("provide a dataset path, --model, or --config")
-    return config_from_dict(raw, overrides)
+    return load_config(args.config, overrides) if args.config else config_from_dict({}, overrides)
 
 
 def main(argv=None):

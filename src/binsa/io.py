@@ -485,8 +485,7 @@ def _pair(value, key):
 def _plan(value, key):
     """A dependence plan: an object of a kind, a pair and what else it takes."""
     kind = _typed(value, key, dict, "a JSON object").get("kind")
-    if not isinstance(kind, str) or kind not in _PLAN_KEYS:
-        raise UserInputError(f"unknown dependence kind {kind!r}")
+    _choice(kind, f"{key}.kind", tuple(_PLAN_KEYS))
     _pair(value.get("pair"), f"{key}.pair")  # a plan must name its pair
     return DependencePlan(**_walk(value, f"{key}.", "dependence[k].", _PLAN_KEYS[kind]))
 
@@ -525,14 +524,17 @@ _KEYS = {
     "dependence[k].fraction": (0.0, _number, 0, 1),
     "dependence[k].sign": ("positive", _choice, ("positive", "negative")),
 }
-# The key that each flag overrides. A flag that is set takes its key's
-# place, and a message about its value names the flag.
+# The key that each flag, or the dataset argument, overrides. One that is
+# set takes its key's place, and a message about its value names it. A data
+# source set this way takes the place of whichever source the config sets.
 _FLAGS = {
-    "seed": "sampling.seed",
-    "n": "sampling.n",
-    "sampler": "sampling.method",
-    "bins": "binning.n_bins_first",
-    "out": "out",
+    "dataset": "dataset",
+    "--model": "model",
+    "--seed": "sampling.seed",
+    "--n": "sampling.n",
+    "--sampler": "sampling.method",
+    "--bins": "binning.n_bins_first",
+    "--out": "out",
 }
 
 
@@ -559,18 +561,22 @@ def _walk(node, prefix="", template="", names=None):
 
 def config_from_dict(raw, overrides=None):
     """The StudyConfig of a config's JSON object raw, every key checked. A
-    flag in overrides (named less its "--") that is not None beats its key
-    in _FLAGS; sampling.seed beats the top-level seed."""
+    flag of _FLAGS in overrides (named less its "--") that is not None beats
+    its key; sampling.seed beats the top-level seed."""
     if not isinstance(raw, dict):
         raise UserInputError(f"config must be a JSON object, got {type(raw).__name__}")
     overrides = overrides or {}
     given = _walk(raw)
     if "seed" in given:
         given.setdefault("sampling.seed", given["seed"])
-    for flag, path in _FLAGS.items():
-        if overrides.get(flag) is not None:
-            _, check, *args = _KEYS[path]
-            given[path] = check(overrides[flag], f"--{flag}", *args)
+    flags = [(name, path) for name, path in _FLAGS.items()
+             if overrides.get(name.lstrip("-")) is not None]
+    if any(path in ("dataset", "model") for _, path in flags):
+        given.pop("dataset", None)
+        given.pop("model", None)
+    for name, path in flags:
+        _, check, *args = _KEYS[path]
+        given[path] = check(overrides[name.lstrip("-")], name, *args)
     v = {path: given.get(path, entry[0]) for path, entry in _KEYS.items()}
     if v["sampling.method"] == "QMC" and v["sampling.n"] > MAX_SOBOL_POINTS:
         n_key = "sampling.n" if overrides.get("n") is None else "--n"

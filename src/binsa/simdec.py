@@ -140,11 +140,14 @@ def _state_of(column, spec, definition):
     """State index per row; numeric states are [lo, hi), last max-inclusive."""
     states = definition.states
     if spec.distribution.kind == "categorical" or states[0].levels:
-        lookup = {}
+        # lookup[code] is the state that holds level code, -1 for none; a
+        # value stands for the code it truncates to
+        lookup = np.full(1 + max(max(st.levels, default=-1) for st in states), -1)
         for si, st in enumerate(states):
-            for lvl in st.levels:
-                lookup[lvl] = si
-        idx = np.array([lookup.get(int(v), -1) for v in column], dtype=np.int64)
+            lookup[list(st.levels)] = si
+        idx = np.full(len(column), -1, dtype=np.int64)
+        known = (column > -1) & (column < len(lookup))
+        idx[known] = lookup[column[known].astype(np.int64)]
     else:
         edges = np.array([st.lo for st in states] + [states[-1].hi], dtype=float)
         idx = np.searchsorted(edges, column, side="right") - 1

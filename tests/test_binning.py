@@ -1,4 +1,5 @@
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -452,16 +453,35 @@ def test_analyze_names_the_first_bad_column_for_any_worker_count(monkeypatch, cp
         analyze(ds)
 
 
-def test_analyze_builds_its_pool_again_after_a_fork(monkeypatch):
-    # a forked child inherits the pool object but none of its threads
+def _report_bytes(rep):
+    return b"".join(np.asarray(getattr(rep, field)).tobytes()
+                    for field in ("first_order", "second_order", "combined", "var_y"))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_analyzes_like_its_parent(monkeypatch):
+    # the parent's threaded call leaves nothing behind that a child needs
     monkeypatch.setattr(binning, "_usable_cpus", lambda: 2)
-    stale = object()
-    monkeypatch.setattr(binning, "_POOL", (-1, stale))
     ds, _ = CASES["interaction_3"]()
-    analyze(ds)
-    pid, pool = binning._POOL
-    pool.shutdown()
-    assert pid == os.getpid() and pool is not stale
+    expected = _report_bytes(analyze(ds))
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        signal.alarm(60)  # a hung child dies, so the parent's read ends
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as out:
+                out.write(_report_bytes(analyze(ds)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as fh:
+        got = fh.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert got == expected
 
 
 def test_two_input_analyze_imports_no_executor_and_starts_no_thread():
@@ -471,15 +491,20 @@ def test_two_input_analyze_imports_no_executor_and_starts_no_thread():
         "import numpy as np\n"
         "import binsa\n"
         "from binsa import binning\n"
+        "starts = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: starts.append(self) or start(self)\n"
         "x = np.random.default_rng(1).random((2000, 3))\n"
         "specs = tuple(binsa.InputSpec(f'x{i}', binsa.MarginalDistribution.uniform(0, 1))\n"
         "              for i in range(3))\n"
         "binsa.analyze(binsa.Dataset(inputs=x[:, :2], output=x[:, 0] * x[:, 1], specs=specs[:2]))\n"
-        "assert 'concurrent.futures' not in sys.modules, 'executor imported'\n"
-        "assert threading.active_count() == 1, 'thread started'\n"
+        "assert not starts, 'thread started'\n"
+        "assert threading.active_count() == 1, 'thread left running'\n"
         "binning._usable_cpus = lambda: 2\n"
         "binsa.analyze(binsa.Dataset(inputs=x, output=x.sum(axis=1), specs=specs))\n"
-        "assert 'concurrent.futures' in sys.modules and threading.active_count() > 1\n"
+        "assert len(starts) == 2, starts  # one thread for the columns, one for the pairs\n"
+        "assert threading.active_count() == 1, 'thread left running'\n"
+        "assert 'concurrent.futures' not in sys.modules, 'executor imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -305,6 +305,36 @@ def test_config_file_drives_analysis(tmp_path, capsys):
     assert meta["seed"] == 7 and meta["n"] == 1500
 
 
+def test_a_dataset_path_given_with_a_config_replaces_its_model(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "ishigami", "sampling": {"n": 1000}}))
+    missing = str(tmp_path / "nonexistent.csv")
+    code, _, err = run(["analyze", missing, "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert code == 2 and f"cannot read dataset {missing}" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_a_model_given_with_a_config_replaces_its_source(tmp_path, capsys):
+    out = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "ishigami", "sampling": {"n": 1000}}))
+    code, stdout, _ = run(
+        ["sample", "--config", str(cfg), "--model", "toy_portfolio", "--out", out], capsys
+    )
+    assert code == 0
+    dataset = stdout.strip()
+    with open(dataset, encoding="utf-8") as fh:
+        assert next(ln for ln in fh if not ln.startswith("#")) == "Ps,Cs,Pt,Ct,Pj,Cj,output\n"
+    cfg.write_text(json.dumps({"dataset": str(tmp_path / "nonexistent.csv")}))
+    code, _, _ = run(["analyze", "--config", str(cfg), "--model", "ishigami", "--out", out], capsys)
+    assert code == 0
+    assert set(json.loads((tmp_path / "report.json").read_text())["first_order"]) == {
+        "x1", "x2", "x3"}
+    # two sources on the command line are still one too many
+    code, _, err = run(["analyze", dataset, "--model", "ishigami", "--config", str(cfg)], capsys)
+    assert code == 2 and "exactly one of model or dataset" in err
+
+
 def test_bin_count_below_two_is_exit_2(tmp_path, capsys):
     code, _, err = run(
         ["analyze", "--model", "ishigami", "--n", "1000", "--bins", "1", "--out", str(tmp_path)],

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -469,7 +470,8 @@ def test_config_model_params_and_dependence():
     )
     assert cfg.model == "ishigami" and cfg.model_params == {"a": 5.0}
     assert cfg.dependence[0].rho == 0.5
-    with pytest.raises(UserInputError, match="unknown dependence kind"):
+    with pytest.raises(UserInputError, match=re.escape(
+            "dependence[0].kind must be 'copula' or 'equal_portion', got 'frank'")):
         config_from_dict({"model": "ishigami", "dependence": [{"kind": "frank", "pair": [0, 1]}]})
 
 

@@ -1,6 +1,7 @@
 """Property tests: the estimator's indices are a function of the set of
 (input row, output) pairs alone, not of their order or of how the input
 matrix is laid out in memory; a dataset CSV reads back to the same bytes; a
+bad dataset cell is a user-input error that names its line and column; a
 bad or unknown config key is a user-input error that names its path."""
 
 import copy
@@ -121,6 +122,53 @@ def test_dataset_csv_write_read_write_is_byte_stable(tmp_path_factory, data, n):
     assert [r[3] for r in rows] == [fmt_number(v) for v in ds.output]
 
 
+def _not_a_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+_CELL_FAULTS = {
+    # printable ASCII that keeps the line one record of the same cells
+    "non-numeric": st.text(
+        st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"#'), max_size=6
+    ).filter(_not_a_float),
+    "non-finite": st.sampled_from(["nan", "NaN", "-nan", "inf", "-inf", "+inf", "Infinity"]),
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 20), k=st.integers(1, 3), meta=st.booleans(),
+       fault=st.sampled_from(["non-numeric", "non-finite", "dropped cell"]))
+def test_a_bad_dataset_cell_is_a_user_input_error_naming_its_line_and_column(
+    tmp_path_factory, data, n, k, meta, fault
+):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    specs = tuple(InputSpec(f"x{i}", MarginalDistribution.uniform(0, 1)) for i in range(k))
+    ds = Dataset(inputs=rng.random((n, k)), output=rng.normal(size=n), specs=specs)
+    path = tmp_path_factory.mktemp("csv") / "bad.csv"
+    write_dataset_csv(path, ds, metadata={"seed": 1} if meta else None)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    first = 2 if meta else 1  # the index of the first data line
+    row = data.draw(st.integers(0, n - 1), label="row")
+    col = data.draw(st.integers(0, k), label="column")
+    cells = lines[first + row].split(",")
+    if fault == "dropped cell":
+        del cells[col]
+        where = f"row {first + row + 1} has {k} cells, expected {k + 1}"
+    else:
+        cells[col] = data.draw(_CELL_FAULTS[fault], label="cell")
+        name = (ds.names + ("output",))[col]
+        where = f"row {first + row + 1}, column {name!r}: {fault} cell {cells[col]!r}"
+    lines[first + row] = ",".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(UserInputError) as err:
+        read_dataset_csv(path)
+    assert where in str(err.value)
+
+
 # A config that sets every key but dataset (it may not be set with model).
 _VALID_CONFIG = {
     "model": "two_factor_additive",
@@ -138,7 +186,7 @@ _VALID_CONFIG = {
     ],
 }
 # the plan of _VALID_CONFIG's dependence list that holds each plan key
-_PLAN_INDEX = {"pair": 1, "rho": 0, "fraction": 1, "sign": 1}
+_PLAN_INDEX = {"kind": 0, "pair": 1, "rho": 0, "fraction": 1, "sign": 1}
 
 _NOT_A_NUMBER = st.one_of(
     st.booleans(), st.none(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
@@ -165,8 +213,7 @@ def _not_one_of(*options, upper=False):
 
 
 # Values that each config key must refuse: a wrong type, or a value out of
-# range. dependence[k].kind is not here: the message of an unknown kind,
-# "unknown dependence kind ...", names the kind and not the key.
+# range.
 _INVALID = {
     "model": st.one_of(st.just(""), st.integers(), st.booleans(), st.lists(st.text(), max_size=2)),
     "dataset": _NOT_A_STRING,
@@ -189,6 +236,7 @@ _INVALID = {
     "dependence": st.one_of(st.integers(), st.text(max_size=3), st.just({}),
                             st.lists(st.one_of(st.integers(), st.none(), st.lists(st.integers())),
                                      min_size=1, max_size=2)),
+    "dependence[k].kind": _not_one_of("copula", "equal_portion"),
     "dependence[k].pair": st.one_of(
         st.none(), st.integers(), st.text(max_size=3), st.integers(0, 5).map(lambda i: [i, i]),
         st.lists(st.integers(0, 5), max_size=4).filter(lambda p: len(p) != 2),
@@ -211,7 +259,7 @@ def _node(config, section):
 def test_the_property_config_is_valid_and_covers_every_key():
     config = config_from_dict(copy.deepcopy(_VALID_CONFIG))
     assert (config.sampling.method, config.sampling.seed, len(config.dependence)) == ("MC", 3, 2)
-    assert set(_INVALID) == set(_KEYS) - {"dependence[k].kind"}
+    assert set(_INVALID) == set(_KEYS)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

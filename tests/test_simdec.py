@@ -15,7 +15,7 @@ from binsa import (
     sample_inputs,
     select_inputs,
 )
-from binsa.simdec import State, StateDefinition, assign_colors
+from binsa.simdec import State, StateDefinition, _state_of, assign_colors
 
 
 def _nested_dataset(n=10000, seed=0):
@@ -151,6 +151,33 @@ def test_decompose_uncovered_range_raises():
     defs = (StateDefinition(0, (State("half", 0.0, 0.5),)),)
     with pytest.raises(ValueError, match="do not cover"):
         decompose(ds, defs)
+
+
+def test_level_states_index_rows_as_a_per_row_lookup_does():
+    # levels 9 and 11 of the 12 are in no state
+    levels = tuple(f"l{i}" for i in range(12))
+    categorical = MarginalDistribution.categorical(levels, (1 / 12,) * 12)
+    definition = StateDefinition(0, (
+        State("a", levels=(0, 3, 7)), State("b", levels=(1, 2)),
+        State("c", levels=(4, 5, 6, 8)), State("d", levels=(10,)),
+    ))
+
+    def per_row(column):
+        lookup = {lvl: si for si, st in enumerate(definition.states) for lvl in st.levels}
+        return np.array([lookup.get(int(v), -1) for v in column], dtype=np.int64)
+
+    rng = np.random.default_rng(5)
+    codes = rng.choice([0, 1, 2, 3, 4, 5, 6, 7, 8, 10], size=5000).astype(float)
+    # a numeric column with level states: each value stands for the code it
+    # truncates to, so -0.5 is level 0
+    fractional = np.concatenate([codes + rng.random(5000) * 0.99, [-0.5, -0.0, 10.999]])
+    for column, dist in ((codes, categorical), (fractional, MarginalDistribution.uniform(-1, 11))):
+        got = _state_of(column, InputSpec("c", dist), definition)
+        assert got.dtype == np.int64 and got.tobytes() == per_row(column).tobytes()
+    for code in (9.0, 11.0, 11.5, 12.0, -1.0, 1e300):
+        assert per_row([code])[0] == -1
+        with pytest.raises(ValueError, match="do not cover the observed range"):
+            _state_of(np.append(codes, code), InputSpec("c", categorical), definition)
 
 
 def test_decompose_categorical_states():
