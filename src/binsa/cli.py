@@ -44,13 +44,10 @@ _EXIT_USER = 2
 
 
 def _metadata(config, extra=None):
-    meta = {
-        "tool": "binsa",
-        "version": __version__,
-        "seed": config.sampling.seed,
-        "n": config.sampling.n,
-        "sampler": config.sampling.method,
-    }
+    """The outputs' metadata; the sampling keys only for data sampled here."""
+    meta = {"tool": "binsa", "version": __version__}
+    if config.dataset_path is None:
+        meta.update(seed=config.sampling.seed, n=config.sampling.n, sampler=config.sampling.method)
     meta.update(extra or {})
     return meta
 
@@ -64,13 +61,9 @@ def _model(name, params):
 
 
 def _sample(config, specs, dependence):
-    """sample_inputs, with a design or a dependence pair that the inputs
-    cannot take as a user-input error."""
-    k, n = len(specs), config.sampling.n
-    if config.sampling.method == "FFD" and n < 2**k:
-        raise UserInputError(
-            f"sampling.n must be >= 2**{k} = {2**k} for FFD on {k} inputs, got {n}"
-        )
+    """sample_inputs, with a dependence pair that the inputs cannot take as
+    a user-input error."""
+    k = len(specs)
     for i, dep in enumerate(dependence):
         for j in dep.pair:
             if not 0 <= j < k:
@@ -103,7 +96,11 @@ def _report(config, dataset, command):
     """The sensitivity report of a dataset: every command's one way to analyze."""
     if dataset.n_rows < 100:
         raise UserInputError(f"{command} requires at least 100 rows")
-    return analyze(dataset, config.binning)
+    try:
+        return analyze(dataset, config.binning)
+    except ValueError as exc:  # a fault of the data or of the bin counts
+        where = "" if config.dataset_path is None else f"{config.dataset_path}: "
+        raise UserInputError(f"{where}{exc}") from None
 
 
 def _write(path, text):

@@ -7,7 +7,6 @@ run metadata and are skipped on read.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import itertools
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .benchmarks import MODEL_NAMES, get_model
 from .binning import BinningConfig, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
@@ -40,7 +40,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _ROWS_PER_WRITE = 2048
-_SCAN_BYTES = 1 << 20
+_SCAN_BYTES = 1 << 16
 
 
 class UserInputError(ValueError):
@@ -125,69 +125,47 @@ def write_dataset_csv(path, dataset, metadata=None):
 
 
 # Whitespace that np.loadtxt strips around a number and float() does not.
-_LOADTXT_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _plain_utf8(path):
-    """Whether the file holds none of _LOADTXT_ONLY_SPACE and every '#' in
-    it starts a line, so that np.loadtxt's comment stripping drops exactly
-    the '#' lines.
+def _plain_lines(fh):
+    """The rest of the open text file fh, as lists of whole lines of about
+    _SCAN_BYTES characters; ValueError for a list that holds any of
+    _LOADTXT_ONLY_SPACE or a '#' that does not start a line.
 
-    The file is read as bytes in _SCAN_BYTES chunks and decoded on the way,
-    so a file that is not UTF-8 raises UnicodeDecodeError here, before any
-    of it is parsed, as it did when the reader decoded the whole file first.
-    A line starts after "\n" or "\r", as the reader opens the file with
-    universal newlines; no byte of a multi-byte UTF-8 character is one of
-    these three.
+    Lines that pass leave np.loadtxt no padding that float() refuses, and
+    its comment stripping drops exactly the '#' lines. Text mode turns every
+    line break into "\n" and each list holds whole lines, so each list is
+    checked on its own; a byte that is not UTF-8 raises UnicodeDecodeError,
+    a ValueError too.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    plain = True
-    last = b"\n"  # the file's first byte starts a line
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_SCAN_BYTES):
-            decoder.decode(chunk)
-            plain = plain and _hashes_start_lines(chunk, last) and not any(
-                c in chunk for c in _LOADTXT_ONLY_SPACE
-            )
-            last = chunk[-1:]
-    decoder.decode(b"", final=True)
-    return plain
-
-
-def _hashes_start_lines(chunk, last):
-    """Whether each '#' in the bytes chunk follows a line break, last being
-    the byte before chunk. A dataset has few '#' bytes, so each is found
-    with find, which skips the bytes between them in native code."""
-    i = chunk.find(b"#")
-    while i != -1:
-        if (chunk[i - 1 : i] if i else last) not in (b"\n", b"\r"):
-            return False
-        i = chunk.find(b"#", i + 1)
-    return True
-
-
-def _data_lines(lines):
-    """The lines that are not '#' lines, read as needed."""
-    return (ln for ln in lines if not ln.startswith("#"))
+    while lines := fh.readlines(_SCAN_BYTES):
+        text = "".join(lines)
+        # the data lines seldom hold a '#', and "in" finds one several times
+        # faster than count looks for "\n#"
+        stray_hash = "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")
+        if stray_hash or any(c in text for c in _LOADTXT_ONLY_SPACE):
+            raise ValueError("not plain")
+        yield lines
 
 
 def _bulk_rows(fh, n_cols):
     """Parse the rest of the open text file fh with np.loadtxt, or return
     None.
 
-    np.loadtxt reads the lines itself and drops '#' comments; as every '#'
-    starts a line (_plain_utf8), that drops the '#' lines and nothing else.
-    It accepts a subset of what _checked_rows accepts, with the same
-    values, except for the padding characters in _LOADTXT_ONLY_SPACE, which
-    the caller rules out first. None (use _checked_rows) for anything
-    loadtxt rejects or warns about (a file with no data rows), for fewer
-    than 2 rows, a wrong column count or a non-finite value: _checked_rows
-    alone decides what is accepted and words every error.
+    np.loadtxt reads the lines of _plain_lines and drops '#' comments, which
+    are then the '#' lines and nothing else. It accepts a subset of what
+    _checked_rows accepts, with the same values. None (use _checked_rows)
+    for anything loadtxt or _plain_lines rejects, anything loadtxt warns
+    about (a file with no data rows), fewer than 2 rows, a wrong column
+    count or a non-finite value: _checked_rows alone decides what is
+    accepted and words every error.
     """
+    lines = itertools.chain.from_iterable(_plain_lines(fh))
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = np.loadtxt(fh, delimiter=",", comments="#", ndmin=2)
+            data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
     except (ValueError, UserWarning):
         return None
     if data.shape[0] < 2 or data.shape[1] != n_cols or not np.all(np.isfinite(data)):
@@ -199,8 +177,8 @@ def read_dataset_csv(path, specs=None):
     """Read a dataset CSV; the last column is the output.
 
     Without specs, every input column is treated as uniform over its observed
-    range (binning only needs the values themselves). Repeated input names,
-    a constant output and an input whose max - min overflows are bad input.
+    range (binning only needs the values themselves). Repeated input names
+    and a constant output are bad input.
     """
     try:
         return _read_dataset_csv(path, specs)
@@ -212,14 +190,13 @@ def _read_dataset_csv(path, specs):
     """read_dataset_csv, less the wording of an unreadable file.
 
     The '#' lines and the header are read a line at a time, and the rest of
-    the open file goes to np.loadtxt; if the bulk parser declines it, the
-    file is read again, from the top, by _checked_rows.
+    the open file goes to np.loadtxt; if the bulk parser declines it,
+    _checked_rows reads the same file again from the top.
     """
-    plain = _plain_utf8(path)
     with open(path, encoding="utf-8") as fh:
         # csv.reader takes only the lines of the header's record, so fh is
         # left at the first line after it
-        reader = csv.reader(_data_lines(iter(fh.readline, "")))
+        reader = csv.reader(ln for ln in iter(fh.readline, "") if not ln.startswith("#"))
         try:
             header = next(reader)
         except StopIteration:
@@ -237,11 +214,13 @@ def _read_dataset_csv(path, specs):
             for j, s in enumerate(specs):
                 if s.distribution.kind == "categorical":
                     level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
-        data = _bulk_rows(fh, len(header)) if plain and not level_maps else None
-    if data is None:
-        with open(path, encoding="utf-8") as fh:
-            reader = csv.reader(_data_lines(fh))
-            next(reader)
+        data = None if level_maps else _bulk_rows(fh, len(header))
+        if data is None:
+            fh.seek(0)
+            # a '#' line reads as a blank row, so reader.line_num is the
+            # file line; the first row that is not blank is the header
+            reader = csv.reader("\n" if ln.startswith("#") else ln for ln in fh)
+            next(filter(None, reader))
             data = _checked_rows(path, reader, header, level_maps)
     inputs, output = data[:, :-1], data[:, -1]
     if output.min() == output.max():
@@ -251,17 +230,10 @@ def _read_dataset_csv(path, specs):
     # Dataset's column-major layout, made here so that each range is read
     # from one contiguous column; Dataset keeps this copy.
     inputs = column_major(inputs)
-    ranges = [(name, float(inputs[:, j].min()), float(inputs[:, j].max()))
-              for j, name in enumerate(names)]
-    for name, lo, hi in ranges:
-        if hi - lo == math.inf:
-            raise UserInputError(
-                f"{path}: column {name!r} spans [{lo!r}, {hi!r}], a range wider than the "
-                "largest float, so it cannot be cut into equal-width bins"
-            )
     if specs is None:
         specs = []
-        for name, lo, hi in ranges:
+        for j, name in enumerate(names):
+            lo, hi = float(inputs[:, j].min()), float(inputs[:, j].max())
             if lo == hi:
                 hi = lo + 1.0
                 if hi == lo:
@@ -272,26 +244,15 @@ def _read_dataset_csv(path, specs):
     return Dataset(inputs=inputs, output=output, specs=specs)
 
 
-def _file_line(path, k):
-    """Line number in the file of its k-th line that is not a '#' line.
-
-    Only an error message needs it, so the file is read again then rather
-    than every read keeping the numbers of the lines it dropped.
-    """
-    with open(path, encoding="utf-8") as fh:
-        kept = (number for number, ln in enumerate(fh, start=1) if not ln.startswith("#"))
-        return next(itertools.islice(kept, k - 1, None))
-
-
 def _checked_rows(path, reader, header, level_maps):
     """The data rows as a float matrix, each cell checked: the definition of
     what read_dataset_csv accepts. Errors name the row by its line number in
-    the file (a quoted record over several lines by its last), and the
-    column."""
+    the file, reader.line_num (a quoted record over several lines by its
+    last), and the column."""
 
     def bad(detail, c=None):
         where = "" if c is None else f", column {header[c]!r}:"
-        return UserInputError(f"{path}: row {_file_line(path, reader.line_num)}{where}{detail}")
+        return UserInputError(f"{path}: row {reader.line_num}{where}{detail}")
 
     rows = []
     for row in reader:
@@ -578,12 +539,20 @@ def config_from_dict(raw, overrides=None):
         _, check, *args = _KEYS[path]
         given[path] = check(overrides[name.lstrip("-")], name, *args)
     v = {path: given.get(path, entry[0]) for path, entry in _KEYS.items()}
-    if v["sampling.method"] == "QMC" and v["sampling.n"] > MAX_SOBOL_POINTS:
-        n_key = "sampling.n" if overrides.get("n") is None else "--n"
-        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {v['sampling.n']}")
     model, params = v["model"], {}
     if isinstance(model, dict):
         model, params = model.get("name"), {k: p for k, p in model.items() if k != "name"}
+    method, n = v["sampling.method"], v["sampling.n"]
+    n_key = "sampling.n" if overrides.get("n") is None else "--n"
+    if method == "QMC" and n > MAX_SOBOL_POINTS:
+        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
+    # a model name that is not built in is left to get_model's own message
+    if method == "FFD" and model in MODEL_NAMES:
+        k = get_model(model).arity
+        if n < 2**k:
+            raise UserInputError(
+                f"{n_key} must be >= 2**{k} = {2**k} for FFD on {k} inputs, got {n}"
+            )
     return StudyConfig(
         model=model,
         model_params=params,

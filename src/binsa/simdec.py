@@ -190,14 +190,14 @@ def decompose(dataset, state_definitions, n_output_bins=100):
         0,
         n_output_bins - 1,
     )
-    stacked = np.zeros((n_scen, n_output_bins), dtype=np.int64)
-    np.add.at(stacked, (scen_idx, ybin), 1)
+    stacked = np.bincount(scen_idx * n_output_bins + ybin, minlength=n_scen * n_output_bins)
+    stacked = stacked.reshape(n_scen, n_output_bins)
 
-    order = np.lexsort((y, scen_idx))
-    sorted_scen = scen_idx[order]
-    sorted_y = y[order]
-    counts = np.bincount(sorted_scen, minlength=n_scen)
-    bounds = np.searchsorted(sorted_scen, np.arange(n_scen + 1))
+    # the rows of scenario s are order[bounds[s]:bounds[s + 1]], in any
+    # order: min and max do not depend on it, and stable_mean sorts them
+    order = np.argsort(scen_idx)
+    counts = np.bincount(scen_idx, minlength=n_scen)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
 
     colors = assign_colors(sizes[0], n_scen // sizes[0])
 
@@ -211,8 +211,8 @@ def decompose(dataset, state_definitions, n_output_bins=100):
         labels = tuple(reversed(labels))
         c = int(counts[s])
         if c > 0:
-            ys = sorted_y[bounds[s] : bounds[s + 1]]
-            stats = (float(ys[0]), stable_mean(ys), float(ys[-1]))
+            ys = y[order[bounds[s] : bounds[s + 1]]]
+            stats = (float(ys.min()), stable_mean(ys), float(ys.max()))
         else:
             stats = (None, None, None)
         scenarios.append(

@@ -305,6 +305,30 @@ def test_config_file_drives_analysis(tmp_path, capsys):
     assert meta["seed"] == 7 and meta["n"] == 1500
 
 
+def test_outputs_of_a_dataset_file_carry_no_sampling_metadata(tmp_path, capsys):
+    # the file was drawn with its own n, seed and sampler, which the config
+    # defaults do not describe
+    out = str(tmp_path)
+    argv = ["--model", "toy_portfolio", "--n", "2000", "--seed", "1", "--sampler", "mc"]
+    code, stdout, _ = run(["sample", *argv, "--out", out], capsys)
+    assert code == 0
+    dataset = stdout.strip()
+    assert run(["analyze", dataset, "--out", out], capsys)[0] == 0
+    assert run(["simdec", dataset, "--out", out], capsys)[0] == 0
+    want = {"tool": "binsa", "version": binsa.__version__, "rows": 2000}
+    assert json.loads((tmp_path / "report.json").read_text())["metadata"] == want
+    for name in ("report_tables.csv", "scenarios.csv"):
+        first = (tmp_path / name).read_text().splitlines()[0]
+        assert json.loads(first.removeprefix("# meta ")) == want
+    for name in ("combined_indices.svg", "simdec.svg"):
+        desc = re.search("<desc>(.*?)</desc>", (tmp_path / name).read_text()).group(1)
+        assert json.loads(desc) == want
+    # a run that samples keeps them
+    assert run(["analyze", *argv, "--out", out], capsys)[0] == 0
+    meta = json.loads((tmp_path / "report.json").read_text())["metadata"]
+    assert meta == {**want, "n": 2000, "seed": 1, "sampler": "MC"}
+
+
 def test_a_dataset_path_given_with_a_config_replaces_its_model(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": "ishigami", "sampling": {"n": 1000}}))
@@ -460,7 +484,21 @@ def test_column_range_wider_than_the_largest_float_is_exit_2(tmp_path, capsys):
     for command in ("analyze", "simdec"):
         code, _, err = run([command, str(p), "--out", str(tmp_path / "out")], capsys)
         assert code == 2, err
-        assert "column 'a' spans [-1.5e+308, 1.5e+308], a range wider than the largest float" in err
+        assert f"{p}: input column 'a' spans [-1.5e+308, 1.5e+308]: its width or its bin scale " \
+            "overflows a float" in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_column_range_too_narrow_for_a_bin_scale_is_exit_2(tmp_path, capsys):
+    # column 'b' spans [0, 1e-323]: nb / (max - min) overflows to inf
+    p = tmp_path / "narrow.csv"
+    p.write_text("a,b,output\n" + "".join(
+        f"{i},{1e-323 if i % 2 else 0.0},{i * i}\n" for i in range(200)))
+    for command in ("analyze", "simdec"):
+        code, _, err = run([command, str(p), "--out", str(tmp_path / "out")], capsys)
+        assert code == 2, err
+        assert f"{p}: input column 'b' spans [0.0, 1e-323]: its width or its bin scale " \
+            "overflows a float" in err
         assert not (tmp_path / "out").exists()
 
 
@@ -547,9 +585,9 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
                     "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 0.5}]}, [],
          r"dependence\[0\]\.pair names input 0 \('Ps'\), which is not uniform"),
         ("sample", {"model": "ishigami"}, ["--sampler", "ffd", "--n", "3"],
-         r"sampling\.n must be >= 2\*\*3 = 8 for FFD on 3 inputs, got 3"),
+         r"--n must be >= 2\*\*3 = 8 for FFD on 3 inputs, got 3"),
         ("sweep-dependence", {"model": "two_factor_additive"}, ["--sampler", "ffd", "--n", "3"],
-         r"sampling\.n must be >= 2\*\*2 = 4 for FFD on 2 inputs, got 3"),
+         r"--n must be >= 2\*\*2 = 4 for FFD on 2 inputs, got 3"),
         ("simdec", {"model": "ishigami", "simdec": {"n_output_bins": 0}}, [],
          "simdec.n_output_bins must be a whole number >= 1, got 0"),
         ("analyze", {"model": "toy_portfolio", "law": "lognormal"}, [],
@@ -653,6 +691,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "ishigami parameter 'a' must be a finite number, got '7'"),
         ("sample", {"model": {"name": "ishigami", "a": True}}, [],
          "ishigami parameter 'a' must be a finite number, got True"),
+        ("compare", {"model": {"name": "ishigami"}, "sampling": {"method": "ffd", "n": 7}}, [],
+         r"sampling\.n must be >= 2\*\*3 = 8 for FFD on 3 inputs, got 7"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -667,7 +707,7 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "missing-pair", "scalar-sweep-grid", "huge-int-cum-threshold", "unknown-section",
          "unknown-sampling-key", "unknown-oracle-key", "key-of-another-kind", "bool-dataset",
          "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
-         "string-model-parameter", "bool-model-parameter"],
+         "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

@@ -1,8 +1,10 @@
 """Property tests: the estimator's indices are a function of the set of
 (input row, output) pairs alone, not of their order or of how the input
-matrix is laid out in memory; a dataset CSV reads back to the same bytes; a
-bad dataset cell is a user-input error that names its line and column; a
-bad or unknown config key is a user-input error that names its path."""
+matrix is laid out in memory; each first-order index lies in [0, 1]; the
+indices barely move under an affine map of the output; a dataset CSV reads
+back to the same bytes; a bad dataset cell is a user-input error that names
+its line and column; a bad or unknown config key is a user-input error that
+names its path."""
 
 import copy
 import csv
@@ -75,6 +77,66 @@ def test_indices_bitwise_equal_across_row_order_and_memory_layout(
         assert _report_bytes(inputs, output, specs, config) == expected
 
 
+def _drawn_dataset(data, n, k, scale):
+    """A dataset of n rows of k uniform inputs, some of them categorical, and
+    an output of magnitude scale with interactions and, maybe, ties."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    x = rng.random((n, k))
+    specs = [InputSpec(f"x{i}", MarginalDistribution.uniform(0, 1)) for i in range(k)]
+    if data.draw(st.booleans(), label="categorical"):
+        x[:, 0] = rng.integers(0, 3, size=n)
+        specs[0] = InputSpec("x0", MarginalDistribution.categorical("abc", (0.2, 0.3, 0.5)))
+    y = x @ rng.normal(size=k) + x[:, 0] * x[:, -1] + rng.normal(size=n) * rng.random()
+    if data.draw(st.booleans(), label="tied"):
+        y = np.round(y, 1)
+    assume(y.min() != y.max())
+    return Dataset(inputs=x, output=y * scale, specs=tuple(specs))
+
+
+def _analyze(dataset, config=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # sparse-grid notes at small n
+        return analyze(dataset, config)
+
+
+_BINS = st.one_of(st.none(), st.tuples(st.integers(2, 600), st.integers(2, 30)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(100, 500), k=st.integers(1, 4), bins=_BINS,
+       scale=st.sampled_from([1e-8, 1.0, 1e8]))
+def test_first_order_indices_lie_in_the_unit_interval(data, n, k, bins, scale):
+    # A first-order index is a between-bin variance over the total variance,
+    # each summed in its own order. With nb >= N every row can sit in a bin
+    # of its own, and then the two are sums of one variance that may differ
+    # in their last bits, so the upper bound allows a few ulps above 1.
+    config = None if bins is None else BinningConfig(*bins)
+    report = _analyze(_drawn_dataset(data, n, k, scale), config)
+    assert np.all(report.first_order >= 0.0)
+    assert np.all(report.first_order <= 1.0 + 1e-12), report.first_order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(100, 500), k=st.integers(1, 4),
+       scale=st.sampled_from([1e-8, 1.0, 1e8]), a=st.floats(1e-3, 1e3),
+       negative=st.booleans(), shift=st.floats(-100.0, 100.0))
+def test_indices_are_near_invariant_under_an_affine_map_of_the_output(
+    data, n, k, scale, a, negative, shift
+):
+    # b is scaled to the output's spread: a fixed b far above it would leave
+    # only the rounding of y + b, not the estimator, to compare
+    dataset = _drawn_dataset(data, n, k, scale)
+    y = dataset.output
+    b = shift * float(np.std(y))
+    mapped = Dataset(inputs=dataset.inputs, output=(-a if negative else a) * y + b,
+                     specs=dataset.specs)
+    assume(mapped.output.min() != mapped.output.max())
+    want, got = _analyze(dataset), _analyze(mapped)
+    for name in ("first_order", "second_order", "combined"):
+        err = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+        assert err <= 1e-10, (name, err)
+
+
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                 1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5])
 
@@ -89,7 +151,7 @@ def _finite(**bounds):
 @given(data=st.data(), n=st.integers(2, 40))
 def test_dataset_csv_write_read_write_is_byte_stable(tmp_path_factory, data, n):
     # One column of each sign, so that no input spans more than the largest
-    # float (the reader refuses such a column); the output takes any float.
+    # float (analyze refuses such a column); the output takes any float.
     levels = ("plain", "a,b", 'say "x"', "", " lead", "line\nbreak", "café")
     specs = (
         InputSpec("pos", MarginalDistribution.uniform(0, 1)),

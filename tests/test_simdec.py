@@ -15,6 +15,7 @@ from binsa import (
     sample_inputs,
     select_inputs,
 )
+from binsa.core import stable_mean
 from binsa.simdec import State, StateDefinition, _state_of, assign_colors
 
 
@@ -108,6 +109,24 @@ def test_decompose_scenario_stats_match_direct_computation():
     assert sc.count == mask.sum()
     assert sc.y_min == ys.min() and sc.y_max == ys.max()
     assert sc.y_mean == pytest.approx(ys.mean(), abs=1e-12)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.05, 1e-3], ids=["few-values", "coarse", "fine"])
+def test_decompose_stats_on_tied_outputs_match_a_per_scenario_reference(step):
+    # rounded outputs tie within and across scenarios; + 0.0 turns -0.0
+    # into 0.0, as the sign of a zero at a minimum or maximum depends on
+    # which tied row comes first
+    ds = _nested_dataset(n=5000, seed=4)
+    y = np.round(ds.output / step) * step + 0.0
+    ds = Dataset(inputs=ds.inputs, output=y, specs=ds.specs)
+    deco = decompose(ds, default_states(ds, (0, 1, 2)))
+    for s, sc in enumerate(deco.scenarios):
+        ys = y[deco.row_scenarios == s]
+        assert sc.count == ys.size == deco.stacked_counts[s].sum()
+        if ys.size:
+            assert (sc.y_min, sc.y_mean, sc.y_max) == (np.min(ys), stable_mean(ys), np.max(ys))
+        else:
+            assert (sc.y_min, sc.y_mean, sc.y_max) == (None, None, None)
 
 
 def test_decompose_empty_scenario_kept_with_null_stats():
