@@ -11,6 +11,10 @@ exponentials go through math, the C library's log and exp, one element at a
 time and only where a branch needs them (the tails of ndtri, |x| >= sqrt(2)
 in ndtr): numpy's vectorized log can differ from the C library's in the last
 bit. np.sqrt is correctly rounded, as is every +, -, * and /.
+
+Both functions work through their input BLOCK_ROWS elements at a time, so
+that the temporaries of a call take a fixed amount of memory whatever the
+input's length: only the output grows with it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# Elements per block of ndtri and ndtr, whose temporaries for a block take
+# about 1 MB. The package's other blocked loops (the Sobol' generator, which
+# needs a power of 2, the marginal transform, mid-ranks) use it too.
+BLOCK_ROWS = 16384
 
 # sqrt(2 pi)
 _S2PI = 2.50662827463100050242e0
@@ -170,42 +179,57 @@ def _libm(fn, x):
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
+def _blocked(kernel, x):
+    """kernel applied to x (a float array) BLOCK_ROWS elements at a time,
+    into one new array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty(flat.shape)
+    with np.errstate(all="ignore"):
+        for start in range(0, flat.size, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            out[block] = kernel(flat[block])
+    return out.reshape(x.shape)
+
+
 def ndtri(y0):
     """Inverse of the standard normal CDF, bitwise scipy.special.ndtri.
 
     ndtri(0) = -inf, ndtri(1) = inf, and outside [0, 1] or at NaN the result
     is NaN. No floating-point warning is raised.
     """
-    y0 = np.asarray(y0, dtype=float)
-    flat = y0.ravel()
+    return _blocked(_ndtri, y0)
+
+
+def _ndtri(flat):
+    """ndtri of the 1-D array flat."""
     out = np.full(flat.shape, np.nan)
-    with np.errstate(all="ignore"):
-        out[flat == 0.0] = -np.inf
-        out[flat == 1.0] = np.inf
-        # near 1, work with 1 - y and return a positive quantile; below 0,
-        # above 1, at 0, at 1 and at NaN, y fails both tests below
-        upper = flat > 1.0 - _EXP_M2
-        y = np.where(upper, 1.0 - flat, flat)
+    out[flat == 0.0] = -np.inf
+    out[flat == 1.0] = np.inf
+    # near 1, work with 1 - y and return a positive quantile; below 0,
+    # above 1, at 0, at 1 and at NaN, y fails both tests below
+    upper = flat > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - flat, flat)
 
-        central = np.flatnonzero(y > _EXP_M2)
-        yc = y[central] - 0.5
-        y2 = yc * yc
-        out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    central = np.flatnonzero(y > _EXP_M2)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
 
-        tail = np.flatnonzero((y > 0.0) & (y <= _EXP_M2))
-        x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
-        x0 = x - _libm(math.log, x) / x
-        z = 1.0 / x
-        x1 = np.empty_like(x)
-        near = np.flatnonzero(x < 8.0)
-        zn = z[near]
-        x1[near] = zn * _polevl(zn, _P1) / _p1evl(zn, _Q1)
-        far = np.flatnonzero(x >= 8.0)
-        zf = z[far]
-        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
-        x = x0 - x1
-        out[tail] = np.where(upper[tail], x, -x)
-    return out.reshape(y0.shape)
+    tail = np.flatnonzero((y > 0.0) & (y <= _EXP_M2))
+    x = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    x0 = x - _libm(math.log, x) / x
+    z = 1.0 / x
+    x1 = np.empty_like(x)
+    near = np.flatnonzero(x < 8.0)
+    zn = z[near]
+    x1[near] = zn * _polevl(zn, _P1) / _p1evl(zn, _Q1)
+    far = np.flatnonzero(x >= 8.0)
+    zf = z[far]
+    x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
 
 
 def ndtr(a):
@@ -213,40 +237,43 @@ def ndtr(a):
 
     ndtr(NaN) is NaN. No floating-point warning is raised.
     """
-    a = np.asarray(a, dtype=float)
-    x = a.ravel() * _SQRT1_2
+    return _blocked(_ndtr, a)
+
+
+def _ndtr(a):
+    """ndtr of the 1-D array a."""
+    x = a * _SQRT1_2
     z = np.abs(x)
     out = np.full(x.shape, np.nan)
-    with np.errstate(all="ignore"):
-        # 1/2 + erf(x)/2, erf by its series ratio on |x| < sqrt(1/2)
-        central = np.flatnonzero(z < _SQRT1_2)
-        xc = x[central]
-        x2 = xc * xc
-        out[central] = 0.5 + 0.5 * (xc * _polevl(x2, _T) / _p1evl(x2, _U))
+    # 1/2 + erf(x)/2, erf by its series ratio on |x| < sqrt(1/2)
+    central = np.flatnonzero(z < _SQRT1_2)
+    xc = x[central]
+    x2 = xc * xc
+    out[central] = 0.5 + 0.5 * (xc * _polevl(x2, _T) / _p1evl(x2, _U))
 
-        # erfc(|x|) / 2 elsewhere; erfc is 1 - erf below 1
-        near = np.flatnonzero((z >= _SQRT1_2) & (z < 1.0))
-        zn = z[near]
-        z2 = zn * zn
-        out[near] = 0.5 * (1.0 - zn * _polevl(z2, _T) / _p1evl(z2, _U))
+    # erfc(|x|) / 2 elsewhere; erfc is 1 - erf below 1
+    near = np.flatnonzero((z >= _SQRT1_2) & (z < 1.0))
+    zn = z[near]
+    z2 = zn * zn
+    out[near] = 0.5 * (1.0 - zn * _polevl(z2, _T) / _p1evl(z2, _U))
 
-        # from 1 up, exp(-z * z) times a rational function, and 0 once
-        # -z * z falls below -MAXLOG (NaN fails every test and stays NaN)
-        mz2 = -z * z
-        out[mz2 < -_MAXLOG] = 0.0
-        mid = np.flatnonzero((z >= 1.0) & (mz2 >= -_MAXLOG))
-        zm = z[mid]
-        e = _libm(math.exp, mz2[mid])
-        erfc = np.empty_like(zm)
-        below8 = np.flatnonzero(zm < 8.0)
-        zb = zm[below8]
-        erfc[below8] = e[below8] * _polevl(zb, _P) / _p1evl(zb, _Q)
-        above8 = np.flatnonzero(zm >= 8.0)
-        za = zm[above8]
-        erfc[above8] = e[above8] * _polevl(za, _R) / _p1evl(za, _S)
-        out[mid] = 0.5 * erfc
+    # from 1 up, exp(-z * z) times a rational function, and 0 once
+    # -z * z falls below -MAXLOG (NaN fails every test and stays NaN)
+    mz2 = -z * z
+    out[mz2 < -_MAXLOG] = 0.0
+    mid = np.flatnonzero((z >= 1.0) & (mz2 >= -_MAXLOG))
+    zm = z[mid]
+    e = _libm(math.exp, mz2[mid])
+    erfc = np.empty_like(zm)
+    below8 = np.flatnonzero(zm < 8.0)
+    zb = zm[below8]
+    erfc[below8] = e[below8] * _polevl(zb, _P) / _p1evl(zb, _Q)
+    above8 = np.flatnonzero(zm >= 8.0)
+    za = zm[above8]
+    erfc[above8] = e[above8] * _polevl(za, _R) / _p1evl(za, _S)
+    out[mid] = 0.5 * erfc
 
-        # reflect the upper tail
-        right = np.flatnonzero((x > 0.0) & (z >= _SQRT1_2))
-        out[right] = 1.0 - out[right]
-    return out.reshape(a.shape)
+    # reflect the upper tail
+    right = np.flatnonzero((x > 0.0) & (z >= _SQRT1_2))
+    out[right] = 1.0 - out[right]
+    return out

@@ -22,6 +22,7 @@ __all__ = [
     "get_model",
     "evaluate",
     "ishigami_analytic_indices",
+    "toy_portfolio_analytic_indices",
     "toy_default_specs",
     "default_specs",
     "MODEL_NAMES",
@@ -78,7 +79,13 @@ def evaluate(model, inputs):
         raise ValueError(f"model {model.name!r} expects {model.arity} input columns")
     if model.name == "toy_portfolio":
         ps, cs, pt, ct, pj, cj = (x[:, i] for i in range(6))
-        return cs * ps + ct * pt + cj * pj
+        # cs * ps + ct * pt + cj * pj, added left to right into one output
+        # through one temporary
+        out = cs * ps
+        term = ct * pt
+        out += term
+        out += np.multiply(cj, pj, out=term)
+        return out
     if model.name == "ishigami":
         a = model.params["a"]
         b = model.params["b"]
@@ -114,6 +121,25 @@ _TOY_MOMENTS = (
     ("Pj", 0.0, 1.0),
     ("Cj", 500.0, 400.0),
 )
+
+
+def toy_portfolio_analytic_indices():
+    """Closed-form first- and second-order indices of the toy portfolio on
+    its default normal inputs, and its output variance V.
+
+    With independent P ~ N(0, sd_P) and C ~ N(mean_C, sd_C), Var(C P) is
+    sd_P^2 (mean_C^2 + sd_C^2). E[Y | P] = mean_C P gives P the main effect
+    sd_P^2 mean_C^2, E[Y | C] = C E[P] = 0 gives C none, and the rest,
+    sd_P^2 sd_C^2, is the pair's interaction. V is the sum over the three
+    products.
+    """
+    idx = {}
+    for (p, _, sd_p), (c, mean_c, sd_c) in zip(_TOY_MOMENTS[::2], _TOY_MOMENTS[1::2]):
+        idx[f"S_{p}"] = sd_p**2 * mean_c**2
+        idx[f"S_{c}"] = 0.0
+        idx[f"S_{p}{c}"] = sd_p**2 * sd_c**2
+    v = sum(idx.values())
+    return {**{key: part / v for key, part in idx.items()}, "V": v}
 
 
 def toy_default_specs(law="normal"):

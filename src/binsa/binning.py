@@ -165,10 +165,11 @@ def analyze(dataset, config=None):
     share one bin geometry. Numeric bins are equal-width over the column's
     observed [min, max], rightmost inclusive; a categorical input bins by
     level at both resolutions. Constant input columns are assigned index 0
-    instead of failing the analysis, and a pair grid with fewer than 5 rows
-    per cell on average is kept: one note covers every numeric pair when
-    m^2 > N/5, and each pair with a categorical input whose
-    n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
+    instead of failing the analysis. First-order bins, and a pair grid, with
+    fewer than 5 rows per cell on average are kept: one note covers the
+    binned numeric inputs' first-order bins when nb > N/5, one covers every
+    numeric pair when m^2 > N/5, and each pair with a categorical input
+    whose n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
     note is recorded in report.warnings and emitted as a UserWarning. A
     numeric column whose range is so wide that max - min overflows a float,
     or so narrow that bins / (max - min) does, has no bin geometry: a
@@ -249,6 +250,8 @@ def analyze(dataset, config=None):
 
     sparse = [(i, j) for i, j in pairs if n_cells[i] * n_cells[j] > n / 5]
     notes = []
+    if nb > n / 5 and any(b and not c for b, c in zip(binned, categorical)):
+        notes.append("sparse bins: nb exceeds N/5")
     if any(not (categorical[i] or categorical[j]) for i, j in sparse):
         notes.append("sparse grid: m^2 exceeds N/5")
     for i, j in sparse:

@@ -244,39 +244,42 @@ def cmd_sweep_dependence(config):
     a_centred = _centred(a)
     a_ranks = _centred(_mid_ranks(a))
     a_score = _copula_score(a, specs[0].distribution)
-    for kind in ("copula", "equal_portion"):
-        for value in config.sweep_grid:
-            if kind == "copula":
-                plan = DependencePlan(kind="copula", pair=(0, 1), rho=value)
-            else:
-                plan = DependencePlan(
-                    kind="equal_portion",
-                    pair=(0, 1),
-                    fraction=abs(value),
-                    sign="negative" if value < 0 else "positive",
-                )
-            matrix = _apply_dependence(design, specs, plan, seed, a_score)
-            output = evaluate(model, matrix)
-            b = matrix[:, 1]
-            if output.max() == output.min():
-                rows.append([config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"])
-                continue
-            dataset = Dataset(inputs=matrix, output=output, specs=specs)
-            report = _report(config, dataset, "sweep-dependence")
-            rows.append(
-                [
-                    config.model,
-                    kind,
-                    fmt_number(value),
-                    fmt_number(_correlation(a_centred, _centred(b))),
-                    fmt_number(_correlation(a_ranks, _centred(_mid_ranks(b)))),
-                    fmt_number(report.first_order[0]),
-                    fmt_number(report.first_order[1]),
-                    fmt_number(report.second_order[0, 1]),
-                    fmt_number(conservation_check(report)),
-                    "ok",
-                ]
+
+    def row(kind, value):
+        # a function of its own, so that one value's matrix, output and
+        # report are freed before the next value's are made
+        if kind == "copula":
+            plan = DependencePlan(kind="copula", pair=(0, 1), rho=value)
+        else:
+            plan = DependencePlan(
+                kind="equal_portion",
+                pair=(0, 1),
+                fraction=abs(value),
+                sign="negative" if value < 0 else "positive",
             )
+        matrix = _apply_dependence(design, specs, plan, seed, a_score)
+        output = evaluate(model, matrix)
+        if output.max() == output.min():
+            return [config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"]
+        dataset = Dataset(inputs=matrix, output=output, specs=specs)
+        report = _report(config, dataset, "sweep-dependence")
+        b = matrix[:, 1]
+        return [
+            config.model,
+            kind,
+            fmt_number(value),
+            fmt_number(_correlation(a_centred, _centred(b))),
+            fmt_number(_correlation(a_ranks, _centred(_mid_ranks(b)))),
+            fmt_number(report.first_order[0]),
+            fmt_number(report.first_order[1]),
+            fmt_number(report.second_order[0, 1]),
+            fmt_number(conservation_check(report)),
+            "ok",
+        ]
+
+    rows += [
+        row(kind, value) for kind in ("copula", "equal_portion") for value in config.sweep_grid
+    ]
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     _write(path, table_csv(rows, _metadata(config)))

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._normal import BLOCK_ROWS
+
 __all__ = [
     "MarginalDistribution",
     "InputSpec",
@@ -131,7 +133,12 @@ class Dataset:
             raise ValueError(
                 f"dataset has {inputs.shape[1]} columns but {len(self.specs)} input specs"
             )
-        if not np.all(np.isfinite(inputs)) or not np.all(np.isfinite(output)):
+        # an array is finite exactly when its min and max are (a NaN
+        # propagates into both), and they need no mask of its size
+        finite = (
+            math.isfinite(a.min()) and math.isfinite(a.max()) for a in (inputs, output) if a.size
+        )
+        if not all(finite):
             raise ValueError("dataset contains NaN or Inf entries")
         names = [s.name for s in self.specs]
         if len(set(names)) != len(names):
@@ -228,7 +235,16 @@ def stable_variance(values, mean=None):
     v = np.asarray(values, dtype=float)
     if mean is None:
         mean = stable_mean(v)
-    return stable_sum((v - mean) ** 2) / v.size
+    d = v - mean
+    d *= d
+    return _sum_sorting(d) / v.size
+
+
+def _sum_sorting(terms):
+    """stable_sum of terms, a 1-D float temporary of the caller's, which it
+    sorts in place instead of sorting a copy."""
+    terms.sort()
+    return float(np.sum(terms))
 
 
 def _paired_vectors(x, y, name):
@@ -245,7 +261,7 @@ def _centred(v):
     """v minus its mean, and the sum of squares of that: what a correlation
     needs of one of its two vectors."""
     d = v - stable_mean(v)
-    return d, stable_sum(d * d)
+    return d, _sum_sorting(d * d)
 
 
 def _correlation(x, y):
@@ -253,7 +269,7 @@ def _correlation(x, y):
     (dx, sx), (dy, sy) = x, y
     if sx == 0.0 or sy == 0.0:
         raise ValueError("degenerate correlation")
-    r = stable_sum(dx * dy) / math.sqrt(sx * sy)
+    r = _sum_sorting(dx * dy) / math.sqrt(sx * sy)
     return min(1.0, max(-1.0, r))
 
 
@@ -266,19 +282,31 @@ def pearson(x, y):
 def _mid_ranks(v):
     """1-based ranks of v, tied values sharing the mean of their ranks.
 
-    Ties span sorted positions start..end-1, whose ranks average to
-    (start + end + 1) / 2: exact in float, and the same bits as
-    scipy's rankdata(v, method="average"), which also gives all-NaN
-    ranks when v holds a NaN.
+    Sorted position p gets rank p + 1, and a run of ties at sorted positions
+    start..end-1 gets (start + end + 1) / 2: exact in float, and the same
+    bits as scipy's rankdata(v, method="average"), which also gives all-NaN
+    ranks when v holds a NaN. The ranks are written a block of BLOCK_ROWS
+    sorted positions at a time, so beyond the ranks, the sort order and one
+    bool per value, only the tied positions take memory.
     """
     order = np.argsort(v)
     s = v[order]
     if s.size and np.isnan(s[-1]):  # the sort puts NaNs last
         return np.full(v.size, np.nan)
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], v.size)
+    tie = s[1:] == s[:-1]  # sorted positions p whose value is that of p + 1
+    del s
     ranks = np.empty(v.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    for start in range(0, v.size, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, v.size)
+        ranks[order[start:stop]] = np.arange(start + 1, stop + 1, dtype=float)
+    if tie.any():
+        tied = np.flatnonzero(tie)
+        # runs of consecutive tied p; run start..end-1 covers p = start..end-2
+        first = np.flatnonzero(np.diff(tied, prepend=-2) != 1)
+        starts = tied[first]
+        ends = tied[np.append(first[1:], tied.size) - 1] + 2
+        positions = np.union1d(tied, tied + 1)
+        ranks[order[positions]] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return ranks
 
 

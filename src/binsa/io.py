@@ -379,13 +379,15 @@ def load_config(path, overrides=None):
     return config_from_dict(raw, overrides)
 
 
-def _whole(value, key, minimum, noun="a whole number"):
-    """An integer >= minimum, which a float with no fraction part (JSON 1e5)
-    may give; not a bool."""
+def _whole(value, key, minimum, noun="a whole number", maximum=None):
+    """An integer >= minimum, and <= maximum unless that is None, which a
+    float with no fraction part (JSON 1e5) may give; not a bool."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise UserInputError(f"{key} must be {noun} >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise UserInputError(f"{key} must be {noun} <= {maximum}, got {value!r}")
     return value
 
 
@@ -456,6 +458,9 @@ _PLAN_KEYS = {
     "copula": ("kind", "pair", "rho"),
     "equal_portion": ("kind", "pair", "fraction", "sign"),
 }
+# The largest numpy index: a bin count is an array length, so it must be one.
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+
 # Every key that a config may hold, by path: its default, its check and the
 # check's arguments. A key whose default is null may be set to null. The
 # keys of each plan in the dependence list are at dependence[k].
@@ -469,8 +474,8 @@ _KEYS = {
     "sampling.n": (1000, _whole, 2),
     "sampling.seed": (0, _whole, 0),
     "sampling.scramble": (True, _typed, bool, "true or false"),
-    "binning.n_bins_first": (None, _whole, 2, "an integer"),
-    "binning.n_bins_second_per_dim": (None, _whole, 2, "an integer"),
+    "binning.n_bins_first": (None, _whole, 2, "an integer", _MAX_INDEX),
+    "binning.n_bins_second_per_dim": (None, _whole, 2, "an integer", _MAX_INDEX),
     "simdec.max_inputs": (3, _whole, 1),
     "simdec.cum_threshold": (0.8, _fraction),
     "simdec.n_output_bins": (100, _whole, 1),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import ndtr, ndtri
-from .core import InputSpec
+from ._normal import BLOCK_ROWS, ndtr, ndtri
+from .core import InputSpec, column_major
 
 __all__ = [
     "SamplingPlan",
@@ -213,27 +213,52 @@ def sobol_points(dim, n, scramble=False, seed=0):
     scipy's qmc.Sobol(dim, scramble=scramble, seed=seed).random(n) at its
     default 30 bits, in the same Gray-code order.
     """
+    out = _sobol_matrix(dim, n, order="C")
+    _sobol_fill(out, scramble, seed)
+    return out
+
+
+def _sobol_matrix(dim, n, order):
+    """An empty n x dim float matrix of the given order, for _sobol_fill;
+    a ValueError if the sequence has no n points of dimension dim."""
     if not 1 <= dim <= MAX_SOBOL_DIM:
         raise ValueError(f"sobol dimension must be in [1, {MAX_SOBOL_DIM}]")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_SOBOL_POINTS:
         raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol' points can be generated, got n={n}")
+    return np.empty((n, dim), order=order)
+
+
+def _sobol_fill(out, scramble, seed):
+    """Write sobol_points(dim, n, scramble, seed) into the n x dim float
+    matrix out, a block of BLOCK_ROWS points at a time."""
+    n, dim = out.shape
     v = _sobol_directions()[:dim]
     shift = 0
     if scramble:
         v, shift = _lms_shift(v, seed)
-    # Point k is shift ^ XOR of v[:, b] over the set bits b of gray(k); the
+    # Point k is shift ^ XOR of v[:, b] over the set bits b of gray(k). The
     # reflected Gray code makes points [s, 2s) those of [0, s) in reverse
-    # order, each XORed with v[:, b] for s = 2**b.
-    q = np.empty((n, dim), dtype=np.uint32)
-    q[0] = shift
+    # order, each XORed with v[:, b] for s = 2**b: so head, the first block,
+    # doubles up from point 0. BLOCK_ROWS is a power of 2, so a block's
+    # start k0 and an offset i < BLOCK_ROWS share no bit and gray(k0 + i) is
+    # gray(k0) ^ gray(i): each block is head XORed with the v[:, b] of the
+    # set bits of gray(k0).
+    head = np.empty((min(n, BLOCK_ROWS), dim), dtype=np.uint32)
+    head[0] = shift
     s, b = 1, 0
-    while s < n:
-        c = min(s, n - s)
-        np.bitwise_xor(q[s - c : s][::-1], v[:, b], out=q[s : s + c])
+    while s < len(head):
+        c = min(s, len(head) - s)
+        np.bitwise_xor(head[s - c : s][::-1], v[:, b], out=head[s : s + c])
         s, b = 2 * s, b + 1
-    return q * 2.0**-_SOBOL_BITS
+    q = np.empty_like(head)
+    for start in range(0, n, BLOCK_ROWS):
+        rows = min(BLOCK_ROWS, n - start)
+        gray = start ^ (start >> 1)
+        bits = [b for b in range(_SOBOL_BITS) if gray >> b & 1]
+        np.bitwise_xor(head[:rows], np.bitwise_xor.reduce(v[:, bits], axis=1), out=q[:rows])
+        np.multiply(q[:rows], 2.0**-_SOBOL_BITS, out=out[start : start + rows])
 
 
 def random_points(dim, n, seed=0):
@@ -274,18 +299,27 @@ def _ppf(dist, u):
     return np.searchsorted(cum, u, side="right").astype(float)
 
 
+def _transform(matrix, specs):
+    """Map each column of matrix, unit-hypercube points, through its input's
+    marginal distribution in place, a block of BLOCK_ROWS rows at a time."""
+    for j, spec in enumerate(specs):
+        column = matrix[:, j]
+        for start in range(0, len(column), BLOCK_ROWS):
+            block = column[start : start + BLOCK_ROWS]
+            block[...] = _ppf(spec.distribution, block)
+
+
 def transform_marginals(points, specs):
     """Map unit-hypercube points through each input's marginal distribution.
 
-    The result is column-major, the layout Dataset stores, so that a sampled
-    matrix becomes a Dataset without a copy.
+    The result is a new array, column-major, the layout Dataset stores, so
+    that a sampled matrix becomes a Dataset without a copy.
     """
     points = np.asarray(points, dtype=float)
     if points.shape[1] != len(specs):
         raise ValueError("column count must equal the number of input specs")
-    out = np.empty(points.shape, order="F")
-    for j, spec in enumerate(specs):
-        out[:, j] = _ppf(spec.distribution, points[:, j])
+    out = np.array(points, order="F")
+    _transform(out, specs)
     return out
 
 
@@ -293,7 +327,7 @@ def _copula_score(a, dist):
     """The normal score of the uniform column a, on which the gaussian
     copula conditions its partner column."""
     ua = (a - dist.lo) / (dist.hi - dist.lo)
-    return ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16))
+    return ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16, out=ua))
 
 
 def apply_dependence(matrix, specs, plan, seed=0):
@@ -327,13 +361,20 @@ def _apply_dependence(matrix, specs, plan, seed, score):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     if plan.kind == "copula":
-        # rho * score + sqrt(1 - rho**2) * eps, formed in the noise's own
-        # array: the same bits, one vector fewer held through ndtr
+        # lo + ndtr(rho * score + sqrt(1 - rho**2) * eps) * (hi - lo), formed
+        # a block of the noise at a time and written into column b
         zb = rng.standard_normal(n)
-        zb *= math.sqrt(1.0 - plan.rho**2)
-        zb += plan.rho * score
-        ub = ndtr(zb)
-        out[:, b_idx] = dist_b.lo + ub * (dist_b.hi - dist_b.lo)
+        scale = math.sqrt(1.0 - plan.rho**2)
+        b = out[:, b_idx]
+        for start in range(0, n, BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            z = zb[block]
+            z *= scale
+            z += plan.rho * score[block]
+            ub = ndtr(z)
+            ub *= dist_b.hi - dist_b.lo
+            ub += dist_b.lo
+            b[block] = ub
     else:
         n_set = int(round(plan.fraction * n))
         idx = rng.choice(n, size=n_set, replace=False)
@@ -354,16 +395,19 @@ def sample_inputs(plan, specs, dependence=()):
     """Generate a full input matrix: design points, marginals, dependence.
 
     The realized row count equals plan.n for MC/QMC and L^K <= plan.n for FFD.
-    The matrix is column-major, as transform_marginals returns it.
+    The matrix is column-major, as transform_marginals returns it. Sobol'
+    points are written straight into it, and the marginals transform it in
+    place.
     """
     seed, dim = plan.seed, len(specs)
-    if plan.method == "MC":
-        pts = random_points(dim, plan.n, seed)
-    elif plan.method == "QMC":
-        pts = sobol_points(dim, plan.n, scramble=plan.scramble, seed=seed)
+    if plan.method == "QMC":
+        matrix = _sobol_matrix(dim, plan.n, order="F")
+        _sobol_fill(matrix, plan.scramble, seed)
+    elif plan.method == "MC":
+        matrix = column_major(random_points(dim, plan.n, seed))
     else:
-        pts = full_factorial(dim, plan.n)
-    matrix = transform_marginals(pts, specs)
+        matrix = column_major(full_factorial(dim, plan.n))
+    _transform(matrix, specs)
     for k, dep in enumerate(dependence):
         matrix = apply_dependence(matrix, specs, dep, seed=dependence_seed(seed, k))
     return matrix

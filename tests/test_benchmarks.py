@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from binsa import default_specs, evaluate, get_model
-from binsa.benchmarks import MODEL_NAMES, ishigami_analytic_indices, toy_default_specs
+from binsa import BinningConfig, Dataset, SamplingPlan, analyze, sample_inputs
+from binsa.benchmarks import (
+    MODEL_NAMES,
+    ishigami_analytic_indices,
+    toy_default_specs,
+    toy_portfolio_analytic_indices,
+)
 from binsa.core import stable_mean, stable_variance
 from binsa.sampling import sobol_points, transform_marginals
 
@@ -81,6 +87,36 @@ def test_ishigami_analytic_matches_qmc_integration():
     )
     assert var_y == pytest.approx(analytic_var, rel=0.01)
     assert stable_mean(y) == pytest.approx(a / 2, abs=0.05)
+
+
+def test_toy_portfolio_analytic_reference_values():
+    idx = toy_portfolio_analytic_indices()
+    want = {"S_Ps": 0.328, "S_Pt": 0.210, "S_Pj": 0.082,
+            "S_PsCs": 0.210, "S_PtCt": 0.118, "S_PjCj": 0.052}
+    for key, value in want.items():
+        assert idx[key] == pytest.approx(value, abs=5e-4), key
+    assert idx["S_Cs"] == idx["S_Ct"] == idx["S_Cj"] == 0.0
+    assert idx["V"] == 3.05e6
+    assert sum(v for k, v in idx.items() if k != "V") == pytest.approx(1.0)
+
+
+def test_toy_portfolio_analytic_matches_a_sample():
+    # the closed forms against the variance of a 2**16-row QMC sample and
+    # the binning estimate on it; the pair indices carry the estimator's
+    # upward bias of about (1 - S_i - S_j) / 60
+    m = get_model("toy_portfolio")
+    specs = toy_default_specs()
+    x = sample_inputs(SamplingPlan("QMC", 2**16, seed=5), specs)
+    y = evaluate(m, x)
+    idx = toy_portfolio_analytic_indices()
+    assert stable_variance(y) == pytest.approx(idx["V"], rel=0.02)
+    rep = analyze(Dataset(inputs=x, output=y, specs=specs), BinningConfig())
+    names = [s.name for s in specs]
+    for i, name in enumerate(names):
+        assert rep.first_order[i] == pytest.approx(idx[f"S_{name}"], abs=0.02), name
+    for p, c in zip(names[::2], names[1::2]):
+        s_pc = rep.second_order[names.index(p), names.index(c)]
+        assert s_pc == pytest.approx(idx[f"S_{p}{c}"], abs=0.03), (p, c)
 
 
 def test_two_factor_models():

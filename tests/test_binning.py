@@ -87,7 +87,8 @@ def test_bin_edges_equal_width_over_observed_range():
     x = np.array([2.0, 3.9, 4.0, 6.0, 8.0, 10.0])
     y = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 3.0])
     ds = Dataset(inputs=x[:, None], output=y, specs=(spec,))
-    rep = analyze(ds, BinningConfig(n_bins_first=4, n_bins_second_per_dim=2))
+    with pytest.warns(UserWarning, match="sparse bins"):
+        rep = analyze(ds, BinningConfig(n_bins_first=4, n_bins_second_per_dim=2))
     assert rep.first_order[0] == 1.0
     const = Dataset(inputs=np.full((2, 1), 3.0), output=np.array([0.0, 1.0]), specs=(spec,))
     with pytest.warns(UserWarning, match="degenerate"):
@@ -117,7 +118,9 @@ def test_first_order_rightmost_bin_inclusive():
     # the maximum lands in the last bin, not out of range
     x = np.array([0.0, 0.5, 1.0, 1.0])
     y = np.array([0.0, 1.0, 2.0, 2.0])
-    rep = analyze(_uniform_dataset([x], y), BinningConfig(n_bins_first=2, n_bins_second_per_dim=2))
+    ds = _uniform_dataset([x], y)
+    with pytest.warns(UserWarning, match="sparse bins"):
+        rep = analyze(ds, BinningConfig(n_bins_first=2, n_bins_second_per_dim=2))
     assert np.isfinite(rep.first_order[0])
 
 
@@ -157,6 +160,32 @@ def test_second_order_sparse_grid_warns():
         rep = analyze(ds, BinningConfig(n_bins_second_per_dim=10))
     assert [str(w.message) for w in record] == ["sparse grid: m^2 exceeds N/5"]
     assert rep.warnings == ("sparse grid: m^2 exceeds N/5",)
+
+
+def test_first_order_sparse_bins_warn_once():
+    # nb = 61 over 300 rows is above N/5 = 60: one note for both numeric
+    # inputs; nb = 60 is not above it, and bins by level take no nb
+    rng = np.random.default_rng(4)
+    x1, x2 = rng.random(300), rng.random(300)
+    ds = _uniform_dataset([x1, x2], x1 + x2)
+    note = "sparse bins: nb exceeds N/5"
+    with pytest.warns(UserWarning, match="sparse bins") as record:
+        rep = analyze(ds, BinningConfig(n_bins_first=61, n_bins_second_per_dim=2))
+    assert [str(w.message) for w in record] == [note]
+    assert rep.warnings == (note,)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analyze(ds, BinningConfig(n_bins_first=60, n_bins_second_per_dim=2)).warnings == ()
+        levels = ("x", "y", "z")
+        cat = Dataset(
+            inputs=rng.integers(0, 3, size=(300, 2)).astype(float),
+            output=rng.random(300),
+            specs=tuple(
+                InputSpec(n, MarginalDistribution.categorical(levels, (1 / 3,) * 3))
+                for n in ("a", "b")
+            ),
+        )
+        assert analyze(cat, BinningConfig(n_bins_first=61)).warnings == ()
 
 
 def test_sparse_grid_warns_for_categorical_pair():

@@ -693,6 +693,17 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "ishigami parameter 'a' must be a finite number, got True"),
         ("compare", {"model": {"name": "ishigami"}, "sampling": {"method": "ffd", "n": 7}}, [],
          r"sampling\.n must be >= 2\*\*3 = 8 for FFD on 3 inputs, got 7"),
+        ("analyze", {"model": "ishigami"}, ["--n", "2000", "--bins", str(2**70)],
+         f"--bins must be an integer <= {2**63 - 1}, got {2**70}$"),
+        ("analyze", {"model": "ishigami", "binning": {"n_bins_second_per_dim": 2**70}},
+         ["--n", "2000"],
+         rf"binning\.n_bins_second_per_dim must be an integer <= {2**63 - 1}, got {2**70}$"),
+        # a count that numpy can index, but not allocate: the estimator's
+        # error, still a user-input one
+        ("analyze", {"model": "ishigami"}, ["--n", "2000", "--bins", str(2**62)],
+         "error: array is too big"),
+        ("analyze", {"model": "ishigami", "binning": {"n_bins_second_per_dim": 2**62}},
+         ["--n", "2000"], "error: array is too big"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -707,7 +718,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "missing-pair", "scalar-sweep-grid", "huge-int-cum-threshold", "unknown-section",
          "unknown-sampling-key", "unknown-oracle-key", "key-of-another-kind", "bool-dataset",
          "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
-         "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows"],
+         "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows",
+         "bins-flag-2-70", "pair-bins-2-70", "bins-flag-2-62", "pair-bins-2-62"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

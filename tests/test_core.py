@@ -65,7 +65,8 @@ def test_stable_mean_empty_raises():
 def _one_input_first_order(x, y, n_bins):
     spec = InputSpec("x", MarginalDistribution.uniform(0, 20))
     ds = Dataset(inputs=np.asarray(x)[:, None], output=np.asarray(y), specs=(spec,))
-    rep = analyze(ds, BinningConfig(n_bins_first=n_bins, n_bins_second_per_dim=2))
+    with pytest.warns(UserWarning, match="sparse bins"):  # a hand case of a few rows
+        rep = analyze(ds, BinningConfig(n_bins_first=n_bins, n_bins_second_per_dim=2))
     return rep.first_order[0], rep.var_y
 
 
@@ -145,6 +146,15 @@ def test_mid_ranks_equal_scipy_rankdata_bitwise():
         np.full(50, 4.0),
         np.array([3.0]),
         np.array([2.0, np.nan, 1.0, 2.0]),
+        # no ties; tied runs that meet, at both ends and across the middle
+        rng.permutation(1000).astype(float),
+        rng.permutation(np.repeat([1.0, 2.0, 3.0, 5.0], [3, 2, 4, 1])),
+        np.array([1.0, 1.0, 2.0, 3.0, 3.0]),
+        np.array([7.0, 7.0]),
+        np.array([-0.0, 0.0]),
+        np.array([1.0, np.nan]),
+        np.array([np.nan, np.nan, 0.0]),
+        np.empty(0),
     ]
     for _ in range(50):
         cases.append(rng.integers(0, rng.integers(1, 50), size=rng.integers(2, 500)) * 0.1)

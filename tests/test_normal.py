@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from binsa import DependencePlan, InputSpec, MarginalDistribution
+from binsa import DependencePlan, InputSpec, MarginalDistribution, SamplingPlan, sample_inputs
 from binsa.sampling import apply_dependence, transform_marginals
-from binsa._normal import ndtr, ndtri
+from binsa._normal import BLOCK_ROWS, ndtr, ndtri
 
 special = pytest.importorskip("scipy.special")
 
@@ -107,3 +108,116 @@ def test_copula_equals_the_scipy_formula_bitwise(rho):
     ub = special.ndtr(rho * za + math.sqrt(1.0 - rho**2) * eps)
     assert_bitwise(ours[:, 0], base[:, 0])
     assert_bitwise(ours[:, 1], -1.0 + ub * 2.0)
+
+
+B = BLOCK_ROWS
+# lengths around one block, and one that ends 7 elements into a fourth
+BLOCK_EDGE_SIZES = [B - 1, B, B + 1, 3 * B + 7]
+
+
+def _with_edges_at_block_bounds(values, edges):
+    """values with the edge values written over it so that they start and
+    end every block of ndtri and ndtr, and the array itself."""
+    values = values.copy()
+    n = values.size
+    block_ends = {s - len(edges) for s in range(B, n, B)}
+    for start in sorted({0, n - len(edges)} | set(range(0, n, B)) | block_ends):
+        piece = edges[: n - start]
+        values[start : start + len(piece)] = piece
+    return values
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+def test_ndtri_and_ndtr_equal_scipy_bitwise_across_block_edges(n):
+    rng = np.random.default_rng(n)
+    # both tails of ndtri's domain as well as its middle
+    u = np.concatenate([rng.random(n - n // 4), 10.0 ** rng.uniform(-300, 0, n // 8)])
+    u = np.concatenate([u, 1.0 - 10.0 ** rng.uniform(-17, 0, n - u.size)])
+    u = _with_edges_at_block_bounds(rng.permutation(u), NDTRI_EDGES)
+    x = _with_edges_at_block_bounds(12.0 * rng.standard_normal(n), NDTR_EDGES)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quantiles, cdf = ndtri(u), ndtr(x)
+    assert_bitwise(quantiles, special.ndtri(u))
+    assert_bitwise(cdf, special.ndtr(x))
+    # a 2-D input is evaluated as its flat elements, in blocks the same
+    square = u[: (n // 2) * 2].reshape(-1, 2)
+    assert_bitwise(ndtri(square), special.ndtri(square))
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("method, scramble", [("QMC", True), ("QMC", False), ("MC", True)])
+def test_sample_inputs_equals_the_whole_array_formulation(n, method, scramble):
+    # the design drawn whole, and each column mapped through its marginal
+    # with scipy's ndtri on the whole column at once; the unscrambled
+    # sequence starts at the origin, whose normal quantile is clamped
+    qmc = pytest.importorskip("scipy.stats.qmc")
+    specs = [
+        InputSpec("n1", MarginalDistribution.normal(10.0, 2.0)),
+        InputSpec("u", MarginalDistribution.uniform(-1.0, 3.0)),
+        InputSpec("c", MarginalDistribution.categorical(("a", "b", "c"), (0.2, 0.5, 0.3))),
+        InputSpec("n2", MarginalDistribution.normal(-3.0, 0.25)),
+    ]
+    plan = SamplingPlan(method, n, seed=9, scramble=scramble)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = sample_inputs(plan, specs)
+    if method == "QMC":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy asks for a power of 2
+            points = qmc.Sobol(len(specs), scramble=scramble, seed=9).random(n)
+    else:
+        points = np.random.default_rng(9).random((n, len(specs)))
+    assert ours.flags.f_contiguous
+    for j, spec in enumerate(specs):
+        d, u = spec.distribution, points[:, j]
+        if d.kind == "normal":
+            with np.errstate(divide="ignore"):
+                want = d.mean + d.sd * np.clip(special.ndtri(u), -8.2, 8.2)
+        elif d.kind == "uniform":
+            want = d.lo + u * (d.hi - d.lo)
+        else:
+            want = np.searchsorted([0.2, 0.7, 1.0], u, side="right").astype(float)
+        assert_bitwise(ours[:, j], want)
+    # transform_marginals maps a copy and leaves its points as they were
+    before = points.copy()
+    assert_bitwise(transform_marginals(points, specs), ours)
+    assert_bitwise(points, before)
+
+
+def _peak(call):
+    """tracemalloc's peak while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "fn, draw",
+    [(ndtri, lambda rng, n: rng.random(n)), (ndtr, lambda rng, n: 12.0 * rng.standard_normal(n))],
+    ids=["ndtri", "ndtr"],
+)
+def test_ndtri_and_ndtr_working_set_does_not_grow_with_rows(fn, draw):
+    # the temporaries are a block's, so 4x the values add less than a
+    # quarter to the peak beyond the output; the values are random, so that
+    # every block takes the same mix of branches
+    rng = np.random.default_rng(5)
+    small_x, large_x = draw(rng, 20_000), draw(rng, 80_000)
+    small = _peak(lambda: fn(small_x)) - 8 * small_x.size
+    large = _peak(lambda: fn(large_x)) - 8 * large_x.size
+    assert abs(large - small) < small / 4, (small, large)
+
+
+def test_sample_inputs_working_set_beyond_its_matrix_does_not_grow_with_rows():
+    # the points and the marginals' temporaries are a block's, so 4x the
+    # rows add less than a quarter to the peak beyond the matrix
+    specs = [InputSpec(f"x{i}", MarginalDistribution.normal(i, 1.0 + i)) for i in range(6)]
+    sample_inputs(SamplingPlan("QMC", 1000, seed=3), specs)  # build the cached tables
+    small, large = [
+        _peak(lambda: sample_inputs(SamplingPlan("QMC", n, seed=3), specs)) - 8 * 6 * n
+        for n in (20_000, 80_000)
+    ]
+    assert abs(large - small) < small / 4, (small, large)
