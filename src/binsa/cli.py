@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 internal/numeric failure, 2 user-input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import sys
 from . import __version__
 from .benchmarks import default_specs, evaluate, get_model
 from .binning import analyze, conservation_check
-from .core import Dataset, _centred, _correlation, _mid_ranks
+from .core import Dataset
 from .io import (
     SCHEMA_VERSION,
     UserInputError,
@@ -29,13 +30,7 @@ from .io import (
     write_dataset_csv,
 )
 from .oracle import estimate_sobol
-from .sampling import (
-    DependencePlan,
-    _apply_dependence,
-    _copula_score,
-    dependence_seed,
-    sample_inputs,
-)
+from .sampling import sample_inputs, sweep_dependence
 from .simdec import decompose, default_states, select_inputs
 from .svg import bar_chart, stacked_histogram
 
@@ -60,28 +55,10 @@ def _model(name, params):
         raise UserInputError(str(exc)) from None
 
 
-def _sample(config, specs, dependence):
-    """sample_inputs, with a dependence pair that the inputs cannot take as
-    a user-input error."""
-    k = len(specs)
-    for i, dep in enumerate(dependence):
-        for j in dep.pair:
-            if not 0 <= j < k:
-                raise UserInputError(
-                    f"dependence[{i}].pair names input {j}; the inputs are 0..{k - 1}"
-                )
-            if specs[j].distribution.kind != "uniform":
-                raise UserInputError(
-                    f"dependence[{i}].pair names input {j} ({specs[j].name!r}), which is not "
-                    "uniform; dependence needs uniform marginals"
-                )
-    return sample_inputs(config.sampling, specs, dependence=dependence)
-
-
 def _build_dataset(config):
     model = _model(config.model, config.model_params)
     specs = default_specs(model, law=config.law)
-    matrix = _sample(config, specs, config.dependence)
+    matrix = sample_inputs(config.sampling, specs, dependence=config.dependence)
     output = evaluate(model, matrix)
     return Dataset(inputs=matrix, output=output, specs=specs), model
 
@@ -92,15 +69,22 @@ def _load_or_build(config):
     return _build_dataset(config)[0]
 
 
-def _report(config, dataset, command):
-    """The sensitivity report of a dataset: every command's one way to analyze."""
-    if dataset.n_rows < 100:
+@contextlib.contextmanager
+def _analysis(config, n_rows, command):
+    """Every command's one way to analyze: fewer than 100 rows, and a
+    ValueError of the data or of the bin counts, are user-input errors."""
+    if n_rows < 100:
         raise UserInputError(f"{command} requires at least 100 rows")
     try:
-        return analyze(dataset, config.binning)
-    except ValueError as exc:  # a fault of the data or of the bin counts
+        yield
+    except ValueError as exc:
         where = "" if config.dataset_path is None else f"{config.dataset_path}: "
         raise UserInputError(f"{where}{exc}") from None
+
+
+def _report(config, dataset, command):
+    with _analysis(config, dataset.n_rows, command):
+        return analyze(dataset, config.binning)
 
 
 def _write(path, text):
@@ -218,68 +202,22 @@ def cmd_sweep_dependence(config):
             "sweep-dependence builds its own dependence plans over sweep_grid; "
             "remove the config's dependence list"
         )
-    rows = [
-        [
-            "model",
-            "dependence",
-            "parameter",
-            "pearson",
-            "spearman",
-            "S_A",
-            "S_B",
-            "S_AB",
-            "sum",
-            "status",
-        ]
-    ]
     model = _model(config.model, config.model_params)
     specs = default_specs(model)
-    # every grid value perturbs the same design, as sample_inputs would
-    # with that value's plan as its only dependence; so column a, and all
-    # that pearson, spearman and the copula compute of it, is the same for
-    # every value and is computed once
-    design = _sample(config, specs, ())
-    seed = dependence_seed(config.sampling.seed, 0)
-    a = design[:, 0]
-    a_centred = _centred(a)
-    a_ranks = _centred(_mid_ranks(a))
-    a_score = _copula_score(a, specs[0].distribution)
-
-    def row(kind, value):
-        # a function of its own, so that one value's matrix, output and
-        # report are freed before the next value's are made
-        if kind == "copula":
-            plan = DependencePlan(kind="copula", pair=(0, 1), rho=value)
+    design = sample_inputs(config.sampling, specs)
+    with _analysis(config, len(design), "sweep-dependence"):
+        sweep = sweep_dependence(model, specs, design, config.sweep_grid, config.sampling.seed,
+                                 config.binning)
+    rows = [["model", "dependence", "parameter", "pearson", "spearman", "S_A", "S_B", "S_AB",
+             "sum", "status"]]
+    for kind, value, r_pearson, r_spearman, report in sweep:
+        row = [config.model, kind, fmt_number(value)]
+        if report is None:
+            rows.append(row + [""] * 6 + ["degenerate"])
         else:
-            plan = DependencePlan(
-                kind="equal_portion",
-                pair=(0, 1),
-                fraction=abs(value),
-                sign="negative" if value < 0 else "positive",
-            )
-        matrix = _apply_dependence(design, specs, plan, seed, a_score)
-        output = evaluate(model, matrix)
-        if output.max() == output.min():
-            return [config.model, kind, fmt_number(value)] + [""] * 6 + ["degenerate"]
-        dataset = Dataset(inputs=matrix, output=output, specs=specs)
-        report = _report(config, dataset, "sweep-dependence")
-        b = matrix[:, 1]
-        return [
-            config.model,
-            kind,
-            fmt_number(value),
-            fmt_number(_correlation(a_centred, _centred(b))),
-            fmt_number(_correlation(a_ranks, _centred(_mid_ranks(b)))),
-            fmt_number(report.first_order[0]),
-            fmt_number(report.first_order[1]),
-            fmt_number(report.second_order[0, 1]),
-            fmt_number(conservation_check(report)),
-            "ok",
-        ]
-
-    rows += [
-        row(kind, value) for kind in ("copula", "equal_portion") for value in config.sweep_grid
-    ]
+            values = (r_pearson, r_spearman, report.first_order[0], report.first_order[1],
+                      report.second_order[0, 1], conservation_check(report))
+            rows.append(row + [fmt_number(v) for v in values] + ["ok"])
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     _write(path, table_csv(rows, _metadata(config)))

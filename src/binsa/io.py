@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import MODEL_NAMES, get_model
+from .benchmarks import MODEL_NAMES, default_specs, get_model
 from .binning import BinningConfig, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
@@ -436,8 +436,8 @@ def _list(value, key, nonempty, noun, check, *args):
 
 
 def _pair(value, key):
-    """Two distinct input indices, as a tuple (the CLI checks that the model
-    has them)."""
+    """Two distinct input indices, as a tuple (config_from_dict checks that
+    the model has them)."""
     if not isinstance(value, list) or not all(type(i) is int for i in value):
         raise UserInputError(f"{key} must hold input indices, got {value!r}")
     if len(value) != 2 or value[0] == value[1]:
@@ -552,12 +552,24 @@ def config_from_dict(raw, overrides=None):
     if method == "QMC" and n > MAX_SOBOL_POINTS:
         raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
     # a model name that is not built in is left to get_model's own message
-    if method == "FFD" and model in MODEL_NAMES:
-        k = get_model(model).arity
-        if n < 2**k:
+    if model in MODEL_NAMES:
+        specs = default_specs(get_model(model), law=v["law"])
+        k = len(specs)
+        if method == "FFD" and n < 2**k:
             raise UserInputError(
                 f"{n_key} must be >= 2**{k} = {2**k} for FFD on {k} inputs, got {n}"
             )
+        for i, dep in enumerate(v["dependence"]):
+            for j in dep.pair:
+                if not 0 <= j < k:
+                    raise UserInputError(
+                        f"dependence[{i}].pair names input {j}; the inputs are 0..{k - 1}"
+                    )
+                if specs[j].distribution.kind != "uniform":
+                    raise UserInputError(
+                        f"dependence[{i}].pair names input {j} ({specs[j].name!r}), which is "
+                        "not uniform; dependence needs uniform marginals"
+                    )
     return StudyConfig(
         model=model,
         model_params=params,

@@ -1,5 +1,6 @@
 """Input-matrix generation: random, scrambled Sobol' and full factorial designs,
-marginal transforms, and pairwise dependence injection.
+marginal transforms, pairwise dependence injection, and the sweep of one
+pair's indices across a grid of dependence plans.
 
 Everything here is numpy: Sobol' points are bitwise those of scipy's
 qmc.Sobol, and the normal quantile and CDF (normal marginals, the gaussian
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import BLOCK_ROWS, ndtr, ndtri
-from .core import InputSpec, column_major
+from .benchmarks import evaluate
+from .binning import analyze
+from .core import Dataset, InputSpec, _centred, _correlation, _mid_ranks, column_major
 
 __all__ = [
     "SamplingPlan",
@@ -26,8 +29,8 @@ __all__ = [
     "full_factorial",
     "transform_marginals",
     "apply_dependence",
-    "dependence_seed",
     "sample_inputs",
+    "sweep_dependence",
 ]
 
 MAX_SOBOL_DIM = 64
@@ -385,7 +388,7 @@ def _apply_dependence(matrix, specs, plan, seed, score):
     return out
 
 
-def dependence_seed(seed, k):
+def _dependence_seed(seed, k):
     """The seed with which sample_inputs applies its k-th dependence plan
     (from 0), for a design drawn with seed."""
     return seed + 1000003 * (k + 1)
@@ -409,5 +412,49 @@ def sample_inputs(plan, specs, dependence=()):
         matrix = column_major(full_factorial(dim, plan.n))
     _transform(matrix, specs)
     for k, dep in enumerate(dependence):
-        matrix = apply_dependence(matrix, specs, dep, seed=dependence_seed(seed, k))
+        matrix = apply_dependence(matrix, specs, dep, seed=_dependence_seed(seed, k))
     return matrix
+
+
+def sweep_dependence(model, specs, design, grid, seed, binning=None):
+    """Inputs 0 and 1 of model across a grid of dependence plans: a list of
+    (kind, value, pearson, spearman, report), for kind "copula" and then
+    "equal_portion", and for each value of grid in turn.
+
+    value is a copula's rho, or an equal portion's fraction with the plan's
+    sign. design is the matrix that sample_inputs draws with seed and no
+    dependence, and each plan perturbs it as sample_inputs would apply that
+    plan alone. pearson and spearman are those of the two columns, and
+    report is analyze(..., binning) of the dataset, or None where the
+    model's output is constant.
+
+    Column 0 is the same under every plan. So what the plans and the two
+    correlations need of it alone, its copula normal score and its centred
+    values and mid-ranks, is computed once for the grid. Each value then
+    computes only column 1, its ranks, the output and the report.
+    """
+    a = design[:, 0]
+    a_score = _copula_score(a, specs[0].distribution)
+    a_centred = _centred(a)
+    a_ranks = _centred(_mid_ranks(a))
+    dep_seed = _dependence_seed(seed, 0)
+
+    def run(kind, value):
+        # a function of its own, so that one value's matrix, output and
+        # dataset are freed before the next value's are made
+        if kind == "copula":
+            plan = DependencePlan(kind=kind, pair=(0, 1), rho=value)
+        else:
+            plan = DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
+                                  sign="negative" if value < 0 else "positive")
+        matrix = _apply_dependence(design, specs, plan, dep_seed, a_score)
+        b = matrix[:, 1]
+        r_pearson = _correlation(a_centred, _centred(b))
+        r_spearman = _correlation(a_ranks, _centred(_mid_ranks(b)))
+        output = evaluate(model, matrix)
+        report = None
+        if output.max() != output.min():
+            report = analyze(Dataset(inputs=matrix, output=output, specs=specs), binning)
+        return kind, value, r_pearson, r_spearman, report
+
+    return [run(kind, value) for kind in ("copula", "equal_portion") for value in grid]

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -8,10 +9,10 @@ import sys
 import pytest
 
 import binsa
+import binsa.cli
 from binsa.cli import main
 from binsa.core import pearson, spearman
 from binsa.io import fmt_number
-from binsa.sampling import apply_dependence, dependence_seed
 
 
 def run(argv, capsys):
@@ -129,7 +130,7 @@ def test_sweep_rows_equal_plain_calls_on_each_plan(tmp_path, capsys):
     rows = list(csv.reader((tmp_path / "sweep.csv").read_text().splitlines()[1:]))
     model = binsa.get_model("two_factor_multiplicative")
     specs = binsa.default_specs(model)
-    design = binsa.sample_inputs(binsa.SamplingPlan(method="QMC", n=2000, seed=0), specs)
+    sampling = binsa.SamplingPlan(method="QMC", n=2000, seed=0)
     expected = [rows[0]]
     for kind in ("copula", "equal_portion"):
         for value in (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75):
@@ -138,7 +139,7 @@ def test_sweep_rows_equal_plain_calls_on_each_plan(tmp_path, capsys):
             else:
                 plan = binsa.DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
                                             sign="negative" if value < 0 else "positive")
-            x = apply_dependence(design, specs, plan, seed=dependence_seed(0, 0))
+            x = binsa.sample_inputs(sampling, specs, dependence=(plan,))
             report = binsa.analyze(
                 binsa.Dataset(inputs=x, output=binsa.evaluate(model, x), specs=specs)
             )
@@ -261,6 +262,20 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_no_private_name():
+    # the CLI parses, dispatches and formats through the modules' public names
+    with open(binsa.cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    private = [
+        f"{'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert not private
 
 
 def test_svg_escape_equals_saxutils():
@@ -704,6 +719,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "error: array is too big"),
         ("analyze", {"model": "ishigami", "binning": {"n_bins_second_per_dim": 2**62}},
          ["--n", "2000"], "error: array is too big"),
+        ("sweep-dependence", {"model": "two_factor_additive"},
+         ["--n", "2000", "--bins", str(2**62)], "error: array is too big"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -719,7 +736,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "unknown-sampling-key", "unknown-oracle-key", "key-of-another-kind", "bool-dataset",
          "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
          "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows",
-         "bins-flag-2-70", "pair-bins-2-70", "bins-flag-2-62", "pair-bins-2-62"],
+         "bins-flag-2-70", "pair-bins-2-70", "bins-flag-2-62", "pair-bins-2-62",
+         "sweep-bins-flag-2-62"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

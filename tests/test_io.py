@@ -475,6 +475,21 @@ def test_config_model_params_and_dependence():
         config_from_dict({"model": "ishigami", "dependence": [{"kind": "frank", "pair": [0, 1]}]})
 
 
+def test_a_dependence_pair_the_model_cannot_take_fails_at_config_time():
+    copula = {"kind": "copula", "pair": [0, 1], "rho": 0.5}
+    with pytest.raises(UserInputError, match=re.escape(
+            "dependence[0].pair names input 0 ('Ps'), which is not uniform; "
+            "dependence needs uniform marginals")):
+        config_from_dict({"model": "toy_portfolio", "dependence": [copula]})
+    with pytest.raises(UserInputError, match=re.escape(
+            "dependence[1].pair names input 7; the inputs are 0..5")):
+        config_from_dict({"model": "toy_portfolio", "law": "uniform",
+                          "dependence": [copula, {**copula, "pair": [7, 0]}]})
+    # the uniform law gives the toy portfolio uniform inputs
+    cfg = config_from_dict({"model": "toy_portfolio", "law": "uniform", "dependence": [copula]})
+    assert cfg.dependence[0].pair == (0, 1)
+
+
 def test_load_config_file_errors(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text("{not json")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,14 +6,19 @@ import pytest
 from scipy.stats import qmc
 
 from binsa import (
+    BinningConfig,
     Dataset,
     DependencePlan,
     InputSpec,
     MarginalDistribution,
     SamplingPlan,
+    analyze,
+    default_specs,
+    evaluate,
+    get_model,
     sample_inputs,
 )
-from binsa.core import pearson
+from binsa.core import pearson, spearman
 from binsa.sampling import (
     MAX_SOBOL_DIM,
     _lms_shift,
@@ -21,6 +27,7 @@ from binsa.sampling import (
     full_factorial,
     random_points,
     sobol_points,
+    sweep_dependence,
     transform_marginals,
 )
 
@@ -280,3 +287,64 @@ def test_sampling_plan_validation():
         SamplingPlan(method="LHS", n=100)
     with pytest.raises(ValueError):
         SamplingPlan(method="MC", n=1)
+
+
+def _bits(kind, value, r_pearson, r_spearman, report):
+    """A sweep row with every float as its exact bits."""
+    if report is not None:
+        report = (report.first_order.tobytes(), report.second_order.tobytes(),
+                  report.combined.tobytes(), report.var_y.hex(), report.n_bins_first,
+                  report.n_bins_second_per_dim, report.warnings)
+    return kind, value, r_pearson.hex(), r_spearman.hex(), report
+
+
+@pytest.mark.parametrize("method, binning", [("QMC", None), ("MC", BinningConfig(12)),
+                                             ("FFD", None)])
+def test_sweep_dependence_equals_plain_calls_on_each_plan(method, binning):
+    # what column a shares across the grid is computed once; each row must
+    # still be what the public calls give for its plan alone
+    model = get_model("two_factor_additive")
+    specs = default_specs(model)
+    plan = SamplingPlan(method, 2000, seed=4)
+    grid = (-1.0, 0.0, 1.0)
+    got = sweep_dependence(model, specs, sample_inputs(plan, specs), grid, plan.seed, binning)
+    expected = []
+    for kind in ("copula", "equal_portion"):
+        for value in grid:
+            if kind == "copula":
+                dep = DependencePlan(kind, (0, 1), rho=value)
+            else:
+                dep = DependencePlan(kind, (0, 1), fraction=abs(value),
+                                     sign="negative" if value < 0 else "positive")
+            x = sample_inputs(plan, specs, dependence=(dep,))
+            y = evaluate(model, x)
+            report = None
+            if y.max() != y.min():
+                report = analyze(Dataset(inputs=x, output=y, specs=specs), binning)
+            expected.append((kind, value, pearson(x[:, 0], x[:, 1]), spearman(x[:, 0], x[:, 1]),
+                             report))
+    assert [_bits(*row) for row in got] == [_bits(*row) for row in expected]
+    # A + (5 - A) is constant under the full negative equal portion
+    assert [row[4] is None for row in got] == [False] * 3 + [True, False, False]
+
+
+def test_sweep_dependence_frees_each_value_before_the_next():
+    # the grid's values share only column a's cache, so seven values peak
+    # no higher than one (the design is drawn before tracing starts)
+    model = get_model("two_factor_multiplicative")
+    specs = default_specs(model)
+    design = sample_inputs(SamplingPlan("QMC", 20_000, seed=1), specs)
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            sweep_dependence(model, specs, design, grid, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grid = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75)
+    sweep_dependence(model, specs, design, grid, 1)  # what numpy loads on a first call
+    one = peak((0.5,))
+    seven = peak(grid)
+    assert seven <= 1.25 * one, (one, seven)
