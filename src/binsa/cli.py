@@ -72,11 +72,14 @@ def _load_or_build(config):
 @contextlib.contextmanager
 def _analysis(config, n_rows, command):
     """Every command's one way to analyze: fewer than 100 rows, and a
-    ValueError of the data or of the bin counts, are user-input errors."""
+    ValueError of the data or of the bin counts, are user-input errors. A
+    UserInputError, which names its own location, passes as it is."""
     if n_rows < 100:
         raise UserInputError(f"{command} requires at least 100 rows")
     try:
         yield
+    except UserInputError:
+        raise
     except ValueError as exc:
         where = "" if config.dataset_path is None else f"{config.dataset_path}: "
         raise UserInputError(f"{where}{exc}") from None
@@ -127,17 +130,15 @@ def cmd_analyze(config):
 
 def cmd_simdec(config, states_path=None):
     dataset = _load_or_build(config)
-    report = _report(config, dataset, "simdec")
-    if states_path is not None:
-        states = load_states_file(states_path, dataset)
-    else:
-        selected = select_inputs(
-            report,
-            max_inputs=config.simdec_max_inputs,
-            cum_threshold=config.simdec_cum_threshold,
-        )
-        states = default_states(dataset, selected)
-    deco = decompose(dataset, states, n_output_bins=config.n_output_bins)
+    with _analysis(config, dataset.n_rows, "simdec"):
+        report = analyze(dataset, config.binning)
+        if states_path is not None:
+            states = load_states_file(states_path, dataset)
+        else:
+            selected = select_inputs(report, config.simdec_max_inputs,
+                                     config.simdec_cum_threshold)
+            states = default_states(dataset, selected)
+        deco = decompose(dataset, states, n_output_bins=config.n_output_bins)
     os.makedirs(config.out_dir, exist_ok=True)
     meta = _metadata(config, {"rows": dataset.n_rows})
     _write(

@@ -549,8 +549,10 @@ def config_from_dict(raw, overrides=None):
         model, params = model.get("name"), {k: p for k, p in model.items() if k != "name"}
     method, n = v["sampling.method"], v["sampling.n"]
     n_key = "sampling.n" if overrides.get("n") is None else "--n"
-    if method == "QMC" and n > MAX_SOBOL_POINTS:
-        raise UserInputError(f"{n_key} must be <= {MAX_SOBOL_POINTS} for QMC, got {n}")
+    for key, sampler, count in ((n_key, method, n),
+                                ("oracle.n", v["oracle.sampler"], v["oracle.n"])):
+        if sampler == "QMC" and count > MAX_SOBOL_POINTS:
+            raise UserInputError(f"{key} must be <= {MAX_SOBOL_POINTS} for QMC, got {count}")
     # a model name that is not built in is left to get_model's own message
     if model in MODEL_NAMES:
         specs = default_specs(get_model(model), law=v["law"])
@@ -649,6 +651,8 @@ def load_states_file(path, dataset):
         if name not in names:
             raise UserInputError(f"{where} references unknown column {name!r}")
         idx = names.index(name)
+        if any(d.input_index == idx for d in defs):
+            raise UserInputError(f"{where} repeats input {name!r}")
         levels = dataset.specs[idx].distribution.levels
         states = tuple(
             _state(st, f"{where}, state {j}", name, levels)

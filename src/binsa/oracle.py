@@ -13,7 +13,7 @@ import numpy as np
 
 from .benchmarks import evaluate
 from .core import stable_mean, stable_variance
-from .sampling import random_points, sobol_points, transform_marginals
+from .sampling import SamplingPlan, sample_inputs
 
 __all__ = ["OracleReport", "estimate_sobol"]
 
@@ -30,36 +30,28 @@ class OracleReport:
 def estimate_sobol(model, specs, n, seed=0, sampler="QMC"):
     """Sobol' indices from a pick-freeze design with n(2k+2) model runs.
 
-    Two base matrices A and B are drawn jointly (a 2k-dimensional design);
-    the hybrids A_B^(i) and B_A^(i) swap column i between them.
+    The sampler ("MC" or "QMC") draws one sample_inputs design of 2k
+    columns, specs twice over: its halves are the base matrices A and B, and
+    the hybrids A_B^(i) and B_A^(i) swap column i, marginal already applied,
+    between them.
     """
     k = len(specs)
     if n < 128:
         raise ValueError("pick-freeze base sample must be >= 128")
     if k < 2:
         raise ValueError("pick-freeze design requires >= 2 inputs")
-    if sampler == "QMC":
-        u = sobol_points(2 * k, n, scramble=True, seed=seed)
-    elif sampler == "MC":
-        u = random_points(2 * k, n, seed)
-    else:
+    if sampler not in ("MC", "QMC"):
         raise ValueError("sampler must be 'MC' or 'QMC'")
-    ua, ub = u[:, :k], u[:, k:]
-
-    def run(unit):
-        return evaluate(model, transform_marginals(unit, specs))
-
-    f_a = run(ua)
-    f_b = run(ub)
-    f_ab = np.empty((k, n))
-    f_ba = np.empty((k, n))
+    x = sample_inputs(SamplingPlan(method=sampler, n=n, seed=seed), tuple(specs) * 2)
+    xa, xb = x[:, :k], x[:, k:]
+    f_a, f_b = evaluate(model, xa), evaluate(model, xb)
+    f_ab, f_ba = np.empty((k, n)), np.empty((k, n))
+    ab, ba = xa.copy(order="F"), xb.copy(order="F")
     for i in range(k):
-        hybrid = ua.copy()
-        hybrid[:, i] = ub[:, i]
-        f_ab[i] = run(hybrid)
-        hybrid = ub.copy()
-        hybrid[:, i] = ua[:, i]
-        f_ba[i] = run(hybrid)
+        ab[:, i], ba[:, i] = xb[:, i], xa[:, i]
+        f_ab[i] = evaluate(model, ab)
+        f_ba[i] = evaluate(model, ba)
+        ab[:, i], ba[:, i] = xa[:, i], xb[:, i]
 
     pooled = np.concatenate([f_a, f_b])
     var_y = stable_variance(pooled)

@@ -19,7 +19,7 @@ import numpy as np
 from ._normal import BLOCK_ROWS, ndtr, ndtri
 from .benchmarks import evaluate
 from .binning import analyze
-from .core import Dataset, InputSpec, _centred, _correlation, _mid_ranks, column_major
+from .core import Dataset, _centred, _correlation, _mid_ranks
 
 __all__ = [
     "SamplingPlan",
@@ -208,35 +208,23 @@ def _lms_shift(v, seed):
 
 
 def sobol_points(dim, n, scramble=False, seed=0):
-    """First n points of a Sobol' sequence in [0, 1)^dim, starting at index 0.
+    """First n points of a Sobol' sequence in [0, 1)^dim, starting at index 0,
+    as a column-major n x dim matrix.
 
     The unscrambled sequence starts at the origin; dropping that first point
     degrades the sequence, so it is always kept. Scrambling is LMS plus a
     digital shift, deterministic per seed. The points are bitwise those of
     scipy's qmc.Sobol(dim, scramble=scramble, seed=seed).random(n) at its
-    default 30 bits, in the same Gray-code order.
+    default 30 bits, in the same Gray-code order, written a block of
+    BLOCK_ROWS points at a time.
     """
-    out = _sobol_matrix(dim, n, order="C")
-    _sobol_fill(out, scramble, seed)
-    return out
-
-
-def _sobol_matrix(dim, n, order):
-    """An empty n x dim float matrix of the given order, for _sobol_fill;
-    a ValueError if the sequence has no n points of dimension dim."""
     if not 1 <= dim <= MAX_SOBOL_DIM:
         raise ValueError(f"sobol dimension must be in [1, {MAX_SOBOL_DIM}]")
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > MAX_SOBOL_POINTS:
         raise ValueError(f"at most 2**{_SOBOL_BITS} Sobol' points can be generated, got n={n}")
-    return np.empty((n, dim), order=order)
-
-
-def _sobol_fill(out, scramble, seed):
-    """Write sobol_points(dim, n, scramble, seed) into the n x dim float
-    matrix out, a block of BLOCK_ROWS points at a time."""
-    n, dim = out.shape
+    out = np.empty((n, dim), order="F")
     v = _sobol_directions()[:dim]
     shift = 0
     if scramble:
@@ -262,21 +250,29 @@ def _sobol_fill(out, scramble, seed):
         bits = [b for b in range(_SOBOL_BITS) if gray >> b & 1]
         np.bitwise_xor(head[:rows], np.bitwise_xor.reduce(v[:, bits], axis=1), out=q[:rows])
         np.multiply(q[:rows], 2.0**-_SOBOL_BITS, out=out[start : start + rows])
+    return out
 
 
 def random_points(dim, n, seed=0):
-    """n x dim i.i.d. uniforms from a seeded 64-bit PRNG."""
+    """n x dim i.i.d. uniforms from a seeded 64-bit PRNG, as a column-major
+    matrix. The generator's stream fills it row by row, a block of
+    BLOCK_ROWS rows at a time, so the points are those of
+    default_rng(seed).random((n, dim))."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    return rng.random((n, dim))
+    out = np.empty((n, dim), order="F")
+    for start in range(0, n, BLOCK_ROWS):
+        block = out[start : start + BLOCK_ROWS]
+        block[...] = rng.random(block.shape)
+    return out
 
 
 def full_factorial(dims, n_budget):
     """All L^dims cell-center combinations with L = floor(n_budget^(1/dims)).
 
     Points are placed at cell centers (2i+1)/(2L) in lexicographic order with
-    the first axis varying slowest.
+    the first axis varying slowest, in a column-major matrix.
     """
     levels = int(n_budget ** (1.0 / dims))
     while (levels + 1) ** dims <= n_budget:
@@ -287,7 +283,7 @@ def full_factorial(dims, n_budget):
         raise ValueError("FFD requires >= 2 levels")
     axis = (2 * np.arange(levels) + 1) / (2 * levels)
     grids = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids]).T
 
 
 def _ppf(dist, u):
@@ -398,18 +394,16 @@ def sample_inputs(plan, specs, dependence=()):
     """Generate a full input matrix: design points, marginals, dependence.
 
     The realized row count equals plan.n for MC/QMC and L^K <= plan.n for FFD.
-    The matrix is column-major, as transform_marginals returns it. Sobol'
-    points are written straight into it, and the marginals transform it in
-    place.
+    The matrix is the sampler's own, column-major as transform_marginals
+    returns it, and the marginals transform it in place.
     """
     seed, dim = plan.seed, len(specs)
     if plan.method == "QMC":
-        matrix = _sobol_matrix(dim, plan.n, order="F")
-        _sobol_fill(matrix, plan.scramble, seed)
+        matrix = sobol_points(dim, plan.n, plan.scramble, seed)
     elif plan.method == "MC":
-        matrix = column_major(random_points(dim, plan.n, seed))
+        matrix = random_points(dim, plan.n, seed)
     else:
-        matrix = column_major(full_factorial(dim, plan.n))
+        matrix = full_factorial(dim, plan.n)
     _transform(matrix, specs)
     for k, dep in enumerate(dependence):
         matrix = apply_dependence(matrix, specs, dep, seed=_dependence_seed(seed, k))

@@ -89,12 +89,13 @@ class Decomposition:
 
 def select_inputs(report, max_inputs=3, cum_threshold=0.8):
     """Most influential inputs: shortest combined-index prefix reaching the
-    cumulative threshold, capped."""
+    cumulative threshold, capped, of the inputs whose combined index is
+    positive (a constant input's is 0)."""
     combined = np.asarray(report.combined, dtype=float)
     if not np.all(np.isfinite(combined)):
         raise ValueError("report contains non-finite combined indices")
-    order = np.argsort(-combined, kind="stable")
-    if combined[order[0]] <= 0:
+    order = np.argsort(-combined, kind="stable")[: np.count_nonzero(combined > 0)]
+    if len(order) == 0:
         raise ValueError("nothing to decompose")
     selected = []
     cum = 0.0

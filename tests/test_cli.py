@@ -445,9 +445,12 @@ def _states(*edges):
         ([{"input": "x1", "states": [{"name": 3, "min": -4, "max": 0},
                                      {"name": "b", "min": 0, "max": 4}]}],
          "states file entry 0, state 0: name must be a string, got 3"),
+        ([{"input": "x1", "states": _states(-4, 0, 4)},
+          {"input": "x1", "states": _states(-4, 4)}],
+         "states file entry 1 repeats input 'x1'"),
     ],
     ids=["missing-min", "top-level-object", "entry-not-object", "eleven-states", "not-covering",
-         "gap", "descending", "overlap", "huge-int", "label-not-string"],
+         "gap", "descending", "overlap", "huge-int", "label-not-string", "repeated-input"],
 )
 def test_bad_states_file_is_exit_2_naming_the_entry(tmp_path, capsys, states, message):
     path = tmp_path / "states.json"
@@ -489,6 +492,24 @@ def test_constant_input_column_is_analyzed_as_degenerate(tmp_path, capsys, value
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["warnings"] == ["degenerate input column 'a': indices set to 0"]
     assert report["first_order"]["a"] == 0.0
+    # b alone does not reach the cumulative threshold, and a, whose combined
+    # index is 0, is not selected: its constant column gets no states
+    with pytest.warns(UserWarning, match="degenerate input column 'a'"):
+        code, _, err = run(["simdec", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    table = (tmp_path / "out" / "scenarios.csv").read_text().splitlines()
+    assert table[1] == "color,scenario,b,min,mean,max,probability"
+
+
+def test_simdec_with_nothing_to_decompose_is_exit_2(tmp_path, capsys):
+    # every input is constant, so every combined index is 0
+    p = tmp_path / "flat_inputs.csv"
+    p.write_text("a,b,y\n" + "".join(f"3,5,{i * i}\n" for i in range(200)))
+    with pytest.warns(UserWarning, match="degenerate input column"):
+        code, _, err = run(["simdec", str(p), "--out", str(tmp_path / "out")], capsys)
+    assert code == 2, err
+    assert f"error: {p}: nothing to decompose" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_column_range_wider_than_the_largest_float_is_exit_2(tmp_path, capsys):
@@ -721,6 +742,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          ["--n", "2000"], "error: array is too big"),
         ("sweep-dependence", {"model": "two_factor_additive"},
          ["--n", "2000", "--bins", str(2**62)], "error: array is too big"),
+        ("compare", {"model": "ishigami", "oracle": {"n": 2**31}}, [],
+         r"oracle\.n must be <= 1073741824 for QMC, got 2147483648"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -737,7 +760,7 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
          "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows",
          "bins-flag-2-70", "pair-bins-2-70", "bins-flag-2-62", "pair-bins-2-62",
-         "sweep-bins-flag-2-62"],
+         "sweep-bins-flag-2-62", "oracle-n-too-large-for-qmc"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

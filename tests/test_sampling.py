@@ -18,6 +18,7 @@ from binsa import (
     get_model,
     sample_inputs,
 )
+from binsa._normal import BLOCK_ROWS
 from binsa.core import pearson, spearman
 from binsa.sampling import (
     MAX_SOBOL_DIM,
@@ -280,6 +281,25 @@ def test_sample_inputs_is_column_major_and_a_dataset_keeps_it(method):
         assert matrix.flags.f_contiguous
         ds = Dataset(inputs=matrix, output=matrix.sum(axis=1), specs=specs)
         assert np.shares_memory(ds.inputs, matrix)
+    # the sampler itself writes the column-major matrix, with the points of
+    # the row-major formulation, past a block of BLOCK_ROWS rows
+    n = 2 * BLOCK_ROWS + 5
+    if method == "QMC":
+        got = sobol_points(3, n, scramble=True, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # n not a power of 2
+            rows = qmc.Sobol(d=3, scramble=True, seed=2).random(n)
+        expected = np.clip(rows, 0.0, np.nextafter(1.0, 0.0))
+    elif method == "MC":
+        got = random_points(3, n, seed=2)
+        expected = np.random.default_rng(2).random((n, 3))
+    else:
+        got = full_factorial(3, n)
+        axis = (2 * np.arange(32) + 1) / 64  # 32**3 <= n < 33**3
+        grids = np.meshgrid(axis, axis, axis, indexing="ij")
+        expected = np.stack([g.ravel() for g in grids], axis=1)
+    assert got.flags.f_contiguous and expected.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_sampling_plan_validation():

@@ -41,6 +41,28 @@ def test_select_inputs_threshold_and_cap():
     assert len(select_inputs(rep, max_inputs=1)) == 1
 
 
+def _constant_input_dataset(n=2000, seed=0):
+    """y = a + 0.5 b + 2 noise, with input c held at 3.0."""
+    rng = np.random.default_rng(seed)
+    a, b, noise = rng.random(n), rng.random(n), rng.random(n)
+    u = MarginalDistribution.uniform(0.0, 1.0)
+    specs = (InputSpec("a", u), InputSpec("b", u),
+             InputSpec("c", MarginalDistribution.uniform(2.5, 3.5)))
+    x = np.column_stack([a, b, np.full(n, 3.0)])
+    return Dataset(inputs=x, output=a + 0.5 * b + 2 * noise, specs=specs)
+
+
+def test_select_inputs_stops_before_a_zero_combined_input():
+    # the threshold is not reached by a and b, and c's combined index is 0:
+    # c is not selected, so its constant column gets no states
+    ds = _constant_input_dataset()
+    with pytest.warns(UserWarning, match="degenerate input column 'c'"):
+        rep = analyze(ds)
+    assert rep.combined[2] == 0.0 and rep.combined[:2].sum() < 0.8
+    assert select_inputs(rep) == (0, 1)
+    assert len(default_states(ds, select_inputs(rep))) == 2
+
+
 def test_select_inputs_rejects_nothing_to_decompose():
     rep = analyze(_nested_dataset())
     zeroed = type(rep)(
