@@ -23,7 +23,6 @@ __all__ = [
     "evaluate",
     "ishigami_analytic_indices",
     "toy_portfolio_analytic_indices",
-    "toy_default_specs",
     "default_specs",
     "MODEL_NAMES",
 ]
@@ -142,28 +141,24 @@ def toy_portfolio_analytic_indices():
     return {**{key: part / v for key, part in idx.items()}, "V": v}
 
 
-def toy_default_specs(law="normal"):
-    """Input specs for the toy portfolio model.
-
-    N(mu; sigma) is read as mean and standard deviation, not variance. The
-    uniform variant spans mean +- two standard deviations.
-    """
-    if law not in ("normal", "uniform"):
-        raise ValueError("law must be 'normal' or 'uniform'")
-    specs = []
-    for name, mean, sd in _TOY_MOMENTS:
-        if law == "normal":
-            dist = MarginalDistribution.normal(mean, sd)
-        else:
-            dist = MarginalDistribution.uniform(mean - 2 * sd, mean + 2 * sd)
-        specs.append(InputSpec(name=name, distribution=dist))
-    return tuple(specs)
-
-
 def default_specs(model, law="normal"):
-    """Default input specs for each benchmark model."""
+    """Default input specs for each benchmark model.
+
+    law applies to the toy portfolio alone: its N(mu; sigma) is read as mean
+    and standard deviation, not variance, and its uniform variant spans mean
+    +- two standard deviations.
+    """
     if model.name == "toy_portfolio":
-        return toy_default_specs(law)
+        if law not in ("normal", "uniform"):
+            raise ValueError("law must be 'normal' or 'uniform'")
+        specs = []
+        for name, mean, sd in _TOY_MOMENTS:
+            if law == "normal":
+                dist = MarginalDistribution.normal(mean, sd)
+            else:
+                dist = MarginalDistribution.uniform(mean - 2 * sd, mean + 2 * sd)
+            specs.append(InputSpec(name=name, distribution=dist))
+        return tuple(specs)
     if model.name == "ishigami":
         u = MarginalDistribution.uniform(-math.pi, math.pi)
         return tuple(InputSpec(name=f"x{i + 1}", distribution=u) for i in range(3))

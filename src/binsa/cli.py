@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .benchmarks import default_specs, evaluate, get_model
+from .benchmarks import evaluate
 from .binning import analyze, conservation_check
 from .core import Dataset
 from .io import (
@@ -47,26 +47,11 @@ def _metadata(config, extra=None):
     return meta
 
 
-def _model(name, params):
-    """get_model, with an unknown name or bad parameter as a user-input error."""
-    try:
-        return get_model(name, **params)
-    except ValueError as exc:
-        raise UserInputError(str(exc)) from None
-
-
-def _build_dataset(config):
-    model = _model(config.model, config.model_params)
-    specs = default_specs(model, law=config.law)
-    matrix = sample_inputs(config.sampling, specs, dependence=config.dependence)
-    output = evaluate(model, matrix)
-    return Dataset(inputs=matrix, output=output, specs=specs), model
-
-
 def _load_or_build(config):
     if config.dataset_path is not None:
         return read_dataset_csv(config.dataset_path)
-    return _build_dataset(config)[0]
+    matrix = sample_inputs(config.sampling, config.specs, dependence=config.dependence)
+    return Dataset(inputs=matrix, output=evaluate(config.model, matrix), specs=config.specs)
 
 
 @contextlib.contextmanager
@@ -98,7 +83,7 @@ def _write(path, text):
 def cmd_sample(config):
     if config.model is None:
         raise UserInputError("sample requires a model")
-    dataset, _ = _build_dataset(config)
+    dataset = _load_or_build(config)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "dataset.csv")
     write_dataset_csv(path, dataset, metadata=_metadata(config))
@@ -164,9 +149,9 @@ def cmd_compare(config):
         raise UserInputError("compare requires a model-based config")
     if config.dependence:
         raise UserInputError("oracle requires independent inputs")
-    dataset, model = _build_dataset(config)
+    dataset = _load_or_build(config)
     report = _report(config, dataset, "compare")
-    oracle = estimate_sobol(model, dataset.specs, config.oracle_n, seed=config.sampling.seed,
+    oracle = estimate_sobol(config.model, config.specs, config.oracle_n, seed=config.sampling.seed,
                             sampler=config.oracle_sampler)
     names = list(report.names)
     first = {}
@@ -196,23 +181,23 @@ def cmd_compare(config):
 
 
 def cmd_sweep_dependence(config):
-    if config.model not in ("two_factor_additive", "two_factor_multiplicative"):
+    if config.model is None or config.model.name not in ("two_factor_additive",
+                                                          "two_factor_multiplicative"):
         raise UserInputError("sweep-dependence requires a two-factor model")
     if config.dependence:
         raise UserInputError(
             "sweep-dependence builds its own dependence plans over sweep_grid; "
             "remove the config's dependence list"
         )
-    model = _model(config.model, config.model_params)
-    specs = default_specs(model)
-    design = sample_inputs(config.sampling, specs)
-    with _analysis(config, len(design), "sweep-dependence"):
-        sweep = sweep_dependence(model, specs, design, config.sweep_grid, config.sampling.seed,
+    # FFD on two inputs draws floor(sqrt(n))**2 rows, at least 100 exactly
+    # when n is
+    with _analysis(config, config.sampling.n, "sweep-dependence"):
+        sweep = sweep_dependence(config.model, config.specs, config.sampling, config.sweep_grid,
                                  config.binning)
     rows = [["model", "dependence", "parameter", "pearson", "spearman", "S_A", "S_B", "S_AB",
              "sum", "status"]]
     for kind, value, r_pearson, r_spearman, report in sweep:
-        row = [config.model, kind, fmt_number(value)]
+        row = [config.model.name, kind, fmt_number(value)]
         if report is None:
             rows.append(row + [""] * 6 + ["degenerate"])
         else:

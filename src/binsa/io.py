@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benchmarks import MODEL_NAMES, default_specs, get_model
+from .benchmarks import Model, default_specs, get_model
 from .binning import BinningConfig, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
@@ -347,11 +347,14 @@ def scenario_table_csv(decomposition, input_names, metadata=None):
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """A full study: a built-in model or a dataset file; _KEYS has the defaults."""
+    """A full study: a built-in model or a dataset file; _KEYS has the defaults.
 
-    model: str | None
-    model_params: dict
-    law: str
+    model is the resolved Model, with its parameters, and specs its default
+    input specs under the config's law; both are None for a dataset file.
+    """
+
+    model: Model | None
+    specs: tuple | None
     dataset_path: str | None
     sampling: SamplingPlan
     dependence: tuple
@@ -544,18 +547,21 @@ def config_from_dict(raw, overrides=None):
         _, check, *args = _KEYS[path]
         given[path] = check(overrides[name.lstrip("-")], name, *args)
     v = {path: given.get(path, entry[0]) for path, entry in _KEYS.items()}
-    model, params = v["model"], {}
-    if isinstance(model, dict):
-        model, params = model.get("name"), {k: p for k, p in model.items() if k != "name"}
     method, n = v["sampling.method"], v["sampling.n"]
     n_key = "sampling.n" if overrides.get("n") is None else "--n"
     for key, sampler, count in ((n_key, method, n),
                                 ("oracle.n", v["oracle.sampler"], v["oracle.n"])):
         if sampler == "QMC" and count > MAX_SOBOL_POINTS:
             raise UserInputError(f"{key} must be <= {MAX_SOBOL_POINTS} for QMC, got {count}")
-    # a model name that is not built in is left to get_model's own message
-    if model in MODEL_NAMES:
-        specs = default_specs(get_model(model), law=v["law"])
+    model, specs = v["model"], None
+    if model is not None:
+        params = dict(model) if isinstance(model, dict) else {"name": model}
+        name = params.pop("name", None)
+        try:
+            model = get_model(name, **params)
+        except ValueError as exc:
+            raise UserInputError(str(exc)) from None
+        specs = default_specs(model, law=v["law"])
         k = len(specs)
         if method == "FFD" and n < 2**k:
             raise UserInputError(
@@ -574,8 +580,7 @@ def config_from_dict(raw, overrides=None):
                     )
     return StudyConfig(
         model=model,
-        model_params=params,
-        law=v["law"],
+        specs=specs,
         dataset_path=v["dataset"],
         sampling=SamplingPlan(
             method=v["sampling.method"],

@@ -282,8 +282,12 @@ def full_factorial(dims, n_budget):
     if levels < 2:
         raise ValueError("FFD requires >= 2 levels")
     axis = (2 * np.arange(levels) + 1) / (2 * levels)
-    grids = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([g.ravel() for g in grids]).T
+    out = np.empty((levels**dims, dims), order="F")
+    for j in range(dims):
+        # column j repeats each level levels**(dims - 1 - j) times, and that
+        # run levels**j times
+        out[:, j].reshape(levels**j, levels, -1)[...] = axis[:, None]
+    return out
 
 
 def _ppf(dist, u):
@@ -410,38 +414,39 @@ def sample_inputs(plan, specs, dependence=()):
     return matrix
 
 
-def sweep_dependence(model, specs, design, grid, seed, binning=None):
+def sweep_dependence(model, specs, plan, grid, binning=None):
     """Inputs 0 and 1 of model across a grid of dependence plans: a list of
     (kind, value, pearson, spearman, report), for kind "copula" and then
     "equal_portion", and for each value of grid in turn.
 
     value is a copula's rho, or an equal portion's fraction with the plan's
-    sign. design is the matrix that sample_inputs draws with seed and no
-    dependence, and each plan perturbs it as sample_inputs would apply that
-    plan alone. pearson and spearman are those of the two columns, and
-    report is analyze(..., binning) of the dataset, or None where the
-    model's output is constant.
+    sign. The design is drawn once, as sample_inputs(plan, specs) draws it,
+    and each dependence plan perturbs it as sample_inputs(plan, specs,
+    dependence=(that plan,)) would. pearson and spearman are those of the
+    two columns, and report is analyze(..., binning) of the dataset, or None
+    where the model's output is constant.
 
     Column 0 is the same under every plan. So what the plans and the two
     correlations need of it alone, its copula normal score and its centred
     values and mid-ranks, is computed once for the grid. Each value then
     computes only column 1, its ranks, the output and the report.
     """
+    design = sample_inputs(plan, specs)
     a = design[:, 0]
     a_score = _copula_score(a, specs[0].distribution)
     a_centred = _centred(a)
     a_ranks = _centred(_mid_ranks(a))
-    dep_seed = _dependence_seed(seed, 0)
+    dep_seed = _dependence_seed(plan.seed, 0)
 
     def run(kind, value):
         # a function of its own, so that one value's matrix, output and
         # dataset are freed before the next value's are made
         if kind == "copula":
-            plan = DependencePlan(kind=kind, pair=(0, 1), rho=value)
+            dep = DependencePlan(kind=kind, pair=(0, 1), rho=value)
         else:
-            plan = DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
-                                  sign="negative" if value < 0 else "positive")
-        matrix = _apply_dependence(design, specs, plan, dep_seed, a_score)
+            dep = DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
+                                 sign="negative" if value < 0 else "positive")
+        matrix = _apply_dependence(design, specs, dep, dep_seed, a_score)
         b = matrix[:, 1]
         r_pearson = _correlation(a_centred, _centred(b))
         r_spearman = _correlation(a_ranks, _centred(_mid_ranks(b)))

@@ -8,6 +8,7 @@ statistics and a slice of the stacked output histogram.
 from __future__ import annotations
 
 import colorsys
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,13 +204,9 @@ def decompose(dataset, state_definitions, n_output_bins=100):
     colors = assign_colors(sizes[0], n_scen // sizes[0])
 
     scenarios = []
-    for s in range(n_scen):
-        labels = []
-        rem = s
-        for size, d in zip(reversed(sizes), reversed(defs)):
-            labels.append(d.states[rem % size].label)
-            rem //= size
-        labels = tuple(reversed(labels))
+    # product's order is the scenarios' order: the first input varies slowest
+    all_labels = itertools.product(*[[st.label for st in d.states] for d in defs])
+    for s, labels in enumerate(all_labels):
         c = int(counts[s])
         if c > 0:
             ys = y[order[bounds[s] : bounds[s + 1]]]

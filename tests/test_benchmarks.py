@@ -8,7 +8,6 @@ from binsa import BinningConfig, Dataset, SamplingPlan, analyze, sample_inputs
 from binsa.benchmarks import (
     MODEL_NAMES,
     ishigami_analytic_indices,
-    toy_default_specs,
     toy_portfolio_analytic_indices,
 )
 from binsa.core import stable_mean, stable_variance
@@ -43,7 +42,7 @@ def test_toy_portfolio_formula():
 
 
 def test_toy_specs_order_and_moments():
-    specs = toy_default_specs("normal")
+    specs = default_specs(get_model("toy_portfolio"), "normal")
     assert tuple(s.name for s in specs) == ("Ps", "Cs", "Pt", "Ct", "Pj", "Cj")
     d = {s.name: s.distribution for s in specs}
     assert (d["Ps"].mean, d["Ps"].sd) == (0.0, 4.0)
@@ -52,7 +51,7 @@ def test_toy_specs_order_and_moments():
     assert (d["Ct"].mean, d["Ct"].sd) == (400.0, 300.0)
     assert (d["Pj"].mean, d["Pj"].sd) == (0.0, 1.0)
     assert (d["Cj"].mean, d["Cj"].sd) == (500.0, 400.0)
-    u = {s.name: s.distribution for s in toy_default_specs("uniform")}
+    u = {s.name: s.distribution for s in default_specs(get_model("toy_portfolio"), "uniform")}
     assert (u["Ps"].lo, u["Ps"].hi) == (-8.0, 8.0)
     assert (u["Cj"].lo, u["Cj"].hi) == (-300.0, 1300.0)
 
@@ -105,7 +104,7 @@ def test_toy_portfolio_analytic_matches_a_sample():
     # the binning estimate on it; the pair indices carry the estimator's
     # upward bias of about (1 - S_i - S_j) / 60
     m = get_model("toy_portfolio")
-    specs = toy_default_specs()
+    specs = default_specs(m)
     x = sample_inputs(SamplingPlan("QMC", 2**16, seed=5), specs)
     y = evaluate(m, x)
     idx = toy_portfolio_analytic_indices()

@@ -174,6 +174,23 @@ def test_sweep_dependence_flags_degenerate_full_coupling(tmp_path, capsys):
     assert ("equal_portion", "-1.0") in {(r[1], r[2]) for r in degenerate}
 
 
+def test_sweep_dependence_row_check_reads_the_plans_n(tmp_path, capsys):
+    # FFD on the two inputs draws floor(sqrt(n))**2 rows: 81 at n = 99
+    argv = ["sweep-dependence", "--model", "two_factor_additive", "--sampler", "ffd",
+            "--out", str(tmp_path)]
+    code, _, err = run(argv + ["--n", "99"], capsys)
+    assert code == 2 and "sweep-dependence requires at least 100 rows" in err
+    assert not (tmp_path / "sweep.csv").exists()
+    code, _, _ = run(argv + ["--n", "100"], capsys)
+    assert code == 0
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()[2:]) == 14
+
+
+def test_sweep_dependence_unknown_model_is_exit_2(tmp_path, capsys):
+    code, _, err = run(["sweep-dependence", "--model", "bogus", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "unknown model 'bogus'" in err
+
+
 def test_sweep_dependence_on_dataset_config_is_exit_2(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("a,b,output\n" + "".join(f"{i},{i % 7},{i * i}\n" for i in range(200)))

@@ -468,11 +468,30 @@ def test_config_model_params_and_dependence():
             "dependence": [{"kind": "copula", "pair": [0, 1], "rho": 0.5}],
         }
     )
-    assert cfg.model == "ishigami" and cfg.model_params == {"a": 5.0}
+    assert cfg.model == get_model("ishigami", a=5.0) and cfg.specs == default_specs(cfg.model)
     assert cfg.dependence[0].rho == 0.5
     with pytest.raises(UserInputError, match=re.escape(
             "dependence[0].kind must be 'copula' or 'equal_portion', got 'frank'")):
         config_from_dict({"model": "ishigami", "dependence": [{"kind": "frank", "pair": [0, 1]}]})
+
+
+def test_config_resolves_the_model_and_its_specs_once():
+    cfg = config_from_dict({"model": {"name": "ishigami", "a": 5}})
+    assert cfg.model == get_model("ishigami", a=5.0)
+    assert cfg.specs == default_specs(cfg.model)
+    # the law reaches the specs, and a dataset config has neither
+    cfg = config_from_dict({"model": "toy_portfolio", "law": "uniform"})
+    assert cfg.specs == default_specs(get_model("toy_portfolio"), "uniform")
+    cfg = config_from_dict({"dataset": "d.csv"})
+    assert cfg.model is None and cfg.specs is None
+
+
+@pytest.mark.parametrize("params", [{"a": "5"}, {"a": float("nan")}, {"c": 1.0}])
+def test_a_bad_model_parameter_fails_at_config_time_with_get_models_message(params):
+    with pytest.raises(ValueError) as expected:
+        get_model("ishigami", **params)
+    with pytest.raises(UserInputError, match=f"^{re.escape(str(expected.value))}$"):
+        config_from_dict({"model": {"name": "ishigami", **params}})
 
 
 def test_a_dependence_pair_the_model_cannot_take_fails_at_config_time():

@@ -302,6 +302,17 @@ def test_sample_inputs_is_column_major_and_a_dataset_keeps_it(method):
     assert got.tobytes() == expected.tobytes()
 
 
+def test_full_factorial_allocates_only_its_matrix():
+    full_factorial(3, 1000)  # what numpy loads on a first call
+    tracemalloc.start()
+    try:
+        pts = full_factorial(3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * pts.nbytes, (peak, pts.nbytes)
+
+
 def test_sampling_plan_validation():
     with pytest.raises(ValueError):
         SamplingPlan(method="LHS", n=100)
@@ -327,7 +338,7 @@ def test_sweep_dependence_equals_plain_calls_on_each_plan(method, binning):
     specs = default_specs(model)
     plan = SamplingPlan(method, 2000, seed=4)
     grid = (-1.0, 0.0, 1.0)
-    got = sweep_dependence(model, specs, sample_inputs(plan, specs), grid, plan.seed, binning)
+    got = sweep_dependence(model, specs, plan, grid, binning)
     expected = []
     for kind in ("copula", "equal_portion"):
         for value in grid:
@@ -349,22 +360,22 @@ def test_sweep_dependence_equals_plain_calls_on_each_plan(method, binning):
 
 
 def test_sweep_dependence_frees_each_value_before_the_next():
-    # the grid's values share only column a's cache, so seven values peak
-    # no higher than one (the design is drawn before tracing starts)
+    # the grid's values share only the design and column a's cache, so
+    # seven values peak no higher than one
     model = get_model("two_factor_multiplicative")
     specs = default_specs(model)
-    design = sample_inputs(SamplingPlan("QMC", 20_000, seed=1), specs)
+    plan = SamplingPlan("QMC", 20_000, seed=1)
 
     def peak(grid):
         tracemalloc.start()
         try:
-            sweep_dependence(model, specs, design, grid, 1)
+            sweep_dependence(model, specs, plan, grid)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     grid = (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75)
-    sweep_dependence(model, specs, design, grid, 1)  # what numpy loads on a first call
+    sweep_dependence(model, specs, plan, grid)  # what numpy loads on a first call
     one = peak((0.5,))
     seven = peak(grid)
     assert seven <= 1.25 * one, (one, seven)
