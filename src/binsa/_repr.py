@@ -308,14 +308,14 @@ def _write_digits(out, mantissa, t):
     return count
 
 
-def repr_bytes(values, width=WIDTH):
+def repr_bytes(values, width=WIDTH, out=None):
     """repr of each float64 of values (any shape, read in C order) as a
     template row and a mask.
 
     Returns (chars, keep), two n x width matrices (width >= WIDTH), uint8 and
     bool: the bytes chars[i][keep[i]] are the ASCII of repr(float(value i)).
     No value keeps a column past WIDTH, so a caller can put its own bytes
-    there.
+    there. out, if given, is the (chars, keep) pair to write them into.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = x.view(_U64)
@@ -331,7 +331,7 @@ def repr_bytes(values, width=WIDTH):
         exponent = np.zeros(x.size, dtype=np.intp)
         mantissa[s], exponent[s] = _d2d(bits[s])
 
-    chars = np.empty((x.size, width), dtype=np.uint8)
+    chars, keep = out if out is not None else (np.empty((x.size, width), dtype=np.uint8), None)
     chars[:, [_SIGN, _LEAD_ZERO, _DOT, _E]] = np.frombuffer(b"-0.e", dtype=np.uint8)
     chars[:, _ZEROS:_ZEROS + 3] = ord("0")
     count = _write_digits(chars[:, _A:_A + 17], mantissa, t)
@@ -347,7 +347,9 @@ def repr_bytes(values, width=WIDTH):
         chars[s, _EXP + 1] = mag // 10 % 10 + ord("0")
         chars[s, _EXP + 2] = mag % 10 + ord("0")
         layout[s] = _EXPONENTIAL + (mag >= 100)
-    keep = _keep_table(width).take(layout * _COUNTS + count, axis=0)
+    # "clip" writes into keep directly, where "raise" would buffer a copy;
+    # every row number is in range
+    keep = _keep_table(width).take(layout * _COUNTS + count, axis=0, out=keep, mode="clip")
     keep[:, _SIGN] = bits >> _U64(63)
     s = np.flatnonzero(~finite)
     if s.size:

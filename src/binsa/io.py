@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
+import os
 import re
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import Model, default_specs, get_model
-from .binning import BinningConfig, conservation_check
+from .binning import _MAX_WORKERS, BinningConfig, _usable_cpus, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
 from .simdec import _HUES, State, StateDefinition, _state_of
@@ -40,7 +39,8 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _ROWS_PER_WRITE = 2048
-_SCAN_BYTES = 1 << 16
+_SCAN_BYTES = 1 << 16  # the shortest chunk of the bulk parser
+_BOM = b"\xef\xbb\xbf"
 
 
 class UserInputError(ValueError):
@@ -85,7 +85,8 @@ def write_dataset_csv(path, dataset, metadata=None):
     one byte matrix, a fixed-width slot per cell and a separator after it:
     the numbers from _repr.repr_bytes, the labels from a per-column table.
     The bytes that each slot's mask keeps are written out, so no cell
-    becomes a Python string.
+    becomes a Python string. The block's values and both matrices are
+    allocated once per write and refilled for each block.
     """
     # imported here, not with binsa: compiling the formatter is most of its
     # import time, and only a dataset write needs it
@@ -105,13 +106,19 @@ def write_dataset_csv(path, dataset, metadata=None):
     if meta:
         head.write(meta + "\n")
     csv.writer(head, lineterminator="\n").writerow(list(dataset.names) + ["output"])
+    block_rows = min(_ROWS_PER_WRITE, dataset.n_rows)
+    block_values = np.empty((block_rows, k))
+    block_chars = np.empty((block_rows * k, slot + 1), dtype=np.uint8)
+    block_keep = np.empty((block_rows * k, slot + 1), dtype=bool)
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode("utf-8"))
         for start in range(0, dataset.n_rows, _ROWS_PER_WRITE):
-            block = slice(start, start + _ROWS_PER_WRITE)
-            values = np.column_stack([dataset.inputs[block], dataset.output[block]])
-            rows = values.shape[0]
-            chars, keep = _repr.repr_bytes(values, width=slot + 1)
+            rows = min(_ROWS_PER_WRITE, dataset.n_rows - start)
+            values = block_values[:rows]
+            values[:, :-1] = dataset.inputs[start:start + rows]
+            values[:, -1] = dataset.output[start:start + rows]
+            chars, keep = _repr.repr_bytes(
+                values, width=slot + 1, out=(block_chars[:rows * k], block_keep[:rows * k]))
             chars, keep = chars.reshape(rows, k, slot + 1), keep.reshape(rows, k, slot + 1)
             for j, (label_chars, label_keep) in labels.items():
                 codes = values[:, j].astype(np.intp)
@@ -124,53 +131,45 @@ def write_dataset_csv(path, dataset, metadata=None):
             fh.write(np.compress(keep.ravel(), chars.ravel()))
 
 
-# Whitespace that np.loadtxt strips around a number and float() does not.
-_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-def _plain_lines(fh):
-    """The rest of the open text file fh, as lists of whole lines of about
-    _SCAN_BYTES characters; ValueError for a list that holds any of
-    _LOADTXT_ONLY_SPACE or a '#' that does not start a line.
-
-    Lines that pass leave np.loadtxt no padding that float() refuses, and
-    its comment stripping drops exactly the '#' lines. Text mode turns every
-    line break into "\n" and each list holds whole lines, so each list is
-    checked on its own; a byte that is not UTF-8 raises UnicodeDecodeError,
-    a ValueError too.
-    """
-    while lines := fh.readlines(_SCAN_BYTES):
-        text = "".join(lines)
-        # the data lines seldom hold a '#', and "in" finds one several times
-        # faster than count looks for "\n#"
-        stray_hash = "#" in text and text.count("#") != text.count("\n#") + text.startswith("#")
-        if stray_hash or any(c in text for c in _LOADTXT_ONLY_SPACE):
-            raise ValueError("not plain")
-        yield lines
-
-
 def _bulk_rows(fh, n_cols):
-    """Parse the rest of the open text file fh with np.loadtxt, or return
+    """The rest of the open binary file fh parsed by _parse.read_rows, or
     None.
 
-    np.loadtxt reads the lines of _plain_lines and drops '#' comments, which
-    are then the '#' lines and nothing else. It accepts a subset of what
-    _checked_rows accepts, with the same values. None (use _checked_rows)
-    for anything loadtxt or _plain_lines rejects, anything loadtxt warns
-    about (a file with no data rows), fewer than 2 rows, a wrong column
-    count or a non-finite value: _checked_rows alone decides what is
-    accepted and words every error.
+    read_rows takes a subset of what _checked_rows accepts, with the same
+    values, and returns None for anything else (a quoted cell, a
+    `1_000`-style number, a ragged or non-finite row, fewer than 2 rows, a
+    byte that is not ASCII outside a '#' line): _checked_rows alone decides
+    what is accepted and words every error.
+
+    The file is read in rounds of one chunk per worker. A round holds a
+    sixteenth of the rest of the file, at least _SCAN_BYTES: the parser's
+    working set is about six times the bytes in flight, so with cells of
+    about 20 bytes the read peaks near 2.1 times the parsed matrix however
+    many CPUs there are. It is split between as many workers as
+    binning.analyze would start, fewer where a chunk would be shorter than
+    _SCAN_BYTES (two threads on short chunks are slower than one), and no
+    chunk is longer than 16 * _SCAN_BYTES.
     """
-    lines = itertools.chain.from_iterable(_plain_lines(fh))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    except (ValueError, UserWarning):
-        return None
-    if data.shape[0] < 2 or data.shape[1] != n_cols or not np.all(np.isfinite(data)):
-        return None
-    return data
+    # imported here, not with binsa: only a dataset read needs the parser
+    from . import _parse
+
+    in_flight = max((os.fstat(fh.fileno()).st_size - fh.tell()) // 16, _SCAN_BYTES)
+    workers = max(1, min(_usable_cpus(), _MAX_WORKERS, in_flight // _SCAN_BYTES))
+    chunk = min(in_flight // workers, 16 * _SCAN_BYTES)
+    return _parse.read_rows(fh, n_cols, chunk, workers)
+
+
+def _seek_data(raw, head):
+    """Move the binary file raw past the lines of head, read from its start
+    in text mode: a UTF-8 byte-order mark dropped, and each "\r\n" or "\r"
+    read as "\n"."""
+    raw.seek(0)
+    at = len(_BOM) if raw.read(len(_BOM)) == _BOM else 0
+    for line in head:
+        at += len(line.encode("utf-8"))
+        raw.seek(at - 1)
+        at += raw.read(2) == b"\r\n"
+    raw.seek(at)
 
 
 def read_dataset_csv(path, specs=None):
@@ -189,14 +188,22 @@ def read_dataset_csv(path, specs=None):
 def _read_dataset_csv(path, specs):
     """read_dataset_csv, less the wording of an unreadable file.
 
-    The '#' lines and the header are read a line at a time, and the rest of
-    the open file goes to np.loadtxt; if the bulk parser declines it,
-    _checked_rows reads the same file again from the top.
+    The '#' lines and the header are read a line at a time, and the bytes
+    after them go to _bulk_rows; if the bulk parser declines them,
+    _checked_rows reads the same file again from the top. A UTF-8
+    byte-order mark (Excel's "CSV UTF-8") is dropped.
     """
-    with open(path, encoding="utf-8") as fh:
-        # csv.reader takes only the lines of the header's record, so fh is
-        # left at the first line after it
-        reader = csv.reader(ln for ln in iter(fh.readline, "") if not ln.startswith("#"))
+    with open(path, encoding="utf-8-sig") as fh:
+        head = []
+
+        def lines():
+            for line in iter(fh.readline, ""):
+                head.append(line)
+                if not line.startswith("#"):
+                    yield line
+
+        # csv.reader takes only the lines of the header's record
+        reader = csv.reader(lines())
         try:
             header = next(reader)
         except StopIteration:
@@ -214,7 +221,10 @@ def _read_dataset_csv(path, specs):
             for j, s in enumerate(specs):
                 if s.distribution.kind == "categorical":
                     level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}
-        data = None if level_maps else _bulk_rows(fh, len(header))
+        data = None
+        if not level_maps:
+            _seek_data(fh.buffer, head)
+            data = _bulk_rows(fh.buffer, len(header))
         if data is None:
             fh.seek(0)
             # a '#' line reads as a blank row, so reader.line_num is the
@@ -228,7 +238,8 @@ def _read_dataset_csv(path, specs):
             f"{path}: output column {header[-1]!r} is constant ({fmt_number(output[0])})"
         )
     # Dataset's column-major layout, made here so that each range is read
-    # from one contiguous column; Dataset keeps this copy.
+    # from one contiguous column: the bulk parser's rows already have it,
+    # and Dataset keeps the checked reader's copy.
     inputs = column_major(inputs)
     if specs is None:
         specs = []
@@ -556,7 +567,7 @@ def config_from_dict(raw, overrides=None):
     model, specs = v["model"], None
     if model is not None:
         params = dict(model) if isinstance(model, dict) else {"name": model}
-        name = params.pop("name", None)
+        name = _typed(params.pop("name", None), "model.name", str, "a model name")
         try:
             model = get_model(name, **params)
         except ValueError as exc:

@@ -761,6 +761,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          ["--n", "2000", "--bins", str(2**62)], "error: array is too big"),
         ("compare", {"model": "ishigami", "oracle": {"n": 2**31}}, [],
          r"oracle\.n must be <= 1073741824 for QMC, got 2147483648"),
+        ("sample", {"model": {"a": 5}}, [], r"model\.name must be a model name, got None"),
+        ("sample", {"model": {"name": 3}}, [], r"model\.name must be a model name, got 3"),
     ],
     ids=["top-level-list", "section-not-object", "pair-out-of-range", "pair-not-int",
          "dependence-not-object", "pair-not-uniform", "ffd-too-few-rows", "sweep-ffd-too-few-rows",
@@ -777,7 +779,8 @@ def test_sampling_commands_run_with_scipy_blocked(tmp_path, argv):
          "int-dataset", "int-out", "empty-sweep-grid", "unknown-model-parameter",
          "string-model-parameter", "bool-model-parameter", "config-ffd-too-few-rows",
          "bins-flag-2-70", "pair-bins-2-70", "bins-flag-2-62", "pair-bins-2-62",
-         "sweep-bins-flag-2-62", "oracle-n-too-large-for-qmc"],
+         "sweep-bins-flag-2-62", "oracle-n-too-large-for-qmc", "model-without-name",
+         "model-name-not-a-string"],
 )
 def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, config, flags,
                                                      message):

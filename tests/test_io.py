@@ -1,13 +1,20 @@
 import csv
+import decimal
 import io
 import json
+import math
 import re
+import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import binsa._parse
 import binsa.io
 
 from binsa import (
@@ -201,9 +208,11 @@ def _read_both_ways(path, monkeypatch, read=read_dataset_csv):
         ('a,b,output\n"1.5",-2,0.25\n3,4e-3,5\n-0.0,7,8\n', False),
         ("a,b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,1_0\n", False),
         ('"a\nx",b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,8\n', True),
+        ("\ufeffa,b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,8\n", True),
+        ("\ufeff# meta {}\r\na,b,output\r\n1.5,-2,0.25\r\n3,4e-3,5\r\n-0.0,7,8\r\n", True),
     ],
     ids=["plain", "blank-lines", "crlf", "padded", "comment-lines", "quoted", "underscore",
-         "two-line-header"],
+         "two-line-header", "byte-order-mark", "byte-order-mark-meta-crlf"],
 )
 def test_bulk_and_checked_reads_agree_bitwise(tmp_path, monkeypatch, text, bulk):
     p = tmp_path / "d.csv"
@@ -213,6 +222,18 @@ def test_bulk_and_checked_reads_agree_bitwise(tmp_path, monkeypatch, text, bulk)
     assert fast.specs == loop.specs
     assert fast.inputs.tobytes() == loop.inputs.tobytes()
     assert fast.output.tobytes() == loop.output.tobytes()
+
+
+def test_read_csv_drops_a_utf8_byte_order_mark(tmp_path, monkeypatch):
+    # Excel's "CSV UTF-8" starts the file with EF BB BF, before the header or
+    # before a '#' line
+    p = tmp_path / "d.csv"
+    for head in ("", "# meta {}\n"):
+        p.write_bytes(b"\xef\xbb\xbf" + (head + "a,b,output\n1,2,3\n4,5,6\n").encode())
+        fast, used_bulk, loop = _read_both_ways(p, monkeypatch)
+        assert used_bulk
+        assert fast.names == loop.names == ("a", "b")
+        assert fast.output.tolist() == loop.output.tolist() == [3.0, 6.0]
 
 
 def _read_or_error(path):
@@ -268,6 +289,86 @@ def test_bulk_read_keeps_the_checked_reader_errors(tmp_path):
     p.write_text("a,output\n1,2\n3,4\n5\n")
     with pytest.raises(UserInputError, match="row 4 has 1 cells, expected 2"):
         read_dataset_csv(p)
+
+
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def _decimals(draw):
+    """A decimal string that float() reads: 1 to 25 digits after up to 3
+    leading zeros, a point anywhere or none ("5", ".5", "5.", "5.5"), and an
+    exponent from -350 to 350 or none."""
+    digits = "0" * draw(st.integers(0, 3)) + draw(st.text("0123456789", min_size=1, max_size=25))
+    point = draw(st.one_of(st.none(), st.integers(0, len(digits))))
+    if point is not None:
+        digits = digits[:point] + "." + digits[point:]
+    exponent = draw(st.one_of(st.none(), st.integers(-350, 350)))
+    if exponent is not None:
+        sign = "-" if exponent < 0 else draw(st.sampled_from(["", "+"]))
+        digits += draw(st.sampled_from("eE")) + sign + str(abs(exponent))
+    return draw(_SIGNS) + digits
+
+
+def _near_midpoint(x, digits):
+    """The midpoint between the double x > 0 and the next, rounded to digits
+    significant digits: a decimal whose double is decided in its last bits."""
+    mid = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    return str(decimal.Context(prec=digits).divide(mid.numerator, mid.denominator))
+
+
+_CELLS = st.one_of(
+    # repr of any finite double: subnormals, -0.0 and 1e+300 included
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _decimals(),
+    st.builds(_near_midpoint, st.floats(1e-300, 1e300), st.integers(17, 19)),
+    # m * 10**q near the ends of the exact long double powers, |q| 20 to 27
+    st.builds("{}{}e{}".format, _SIGNS, st.integers(1, 2**64 - 1),
+              st.integers(20, 27) | st.integers(-27, -20)),
+)
+
+
+@pytest.mark.parametrize("long_double", [True, False], ids=["long-double", "float-fallback"])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cells=st.lists(_CELLS, min_size=1, max_size=40))
+def test_bulk_read_is_bitwise_float_of_each_cell(tmp_path_factory, long_double, cells):
+    # without the long double step every cell that Clinger's fast path does
+    # not settle goes to float(), as on a platform without x87 long double
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_text("a,output\n" + "".join(f"{c},{i}\n" for i, c in enumerate(cells + ["0"])))
+    expected = [float(c) for c in cells + ["0"]]
+    with pytest.MonkeyPatch.context() as m:
+        if not long_double:
+            m.setattr(binsa._parse, "_LONG_DOUBLE", False)
+        fast, used_bulk, loop = _read_both_ways(p, pytest.MonkeyPatch(), read=_read_or_error)
+    assert fast == loop
+    assert used_bulk == all(math.isfinite(v) for v in expected)
+    if used_bulk:
+        assert fast[1] == np.array(expected).tobytes()
+
+
+def test_bulk_read_is_the_same_for_any_chunk_size_and_worker_count(tmp_path):
+    # rows straddle the cuts between chunks, and between rounds; a '#' line,
+    # a blank line and "\r\n" ends fall on some cuts; the shortest chunks
+    # hold less than one line, so the buffer grows. Three workers on a short
+    # switch interval interleave as much as they can.
+    x = np.random.default_rng(3).normal(size=(600, 3)) * 10.0 ** np.arange(-5, 10, 5)
+    lines = [",".join(map(repr, row)) + "\r\n" for row in x.tolist()]
+    lines[300:300] = ["# note, with a comma\r\n", "\r\n"]
+    p = tmp_path / "d.csv"
+    p.write_text("".join(lines), newline="")
+    want = x.tobytes(order="F")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk in (13, 100, 1000, 4096, 1 << 16):
+            for workers in (1, 2, 3):
+                with open(p, "rb") as raw:
+                    rows = binsa._parse.read_rows(raw, 3, chunk, workers)
+                assert rows.flags.f_contiguous, (chunk, workers)
+                assert rows.tobytes(order="F") == want, (chunk, workers)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _plain_rows(n, n_cols=7):
