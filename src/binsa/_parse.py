@@ -300,33 +300,36 @@ def _values(buf, words, starts, ends):
     negative = c == _MINUS
     q += negative | (c == _PLUS)
     m = np.zeros(q.shape, dtype=_U64)
-    big = np.zeros(q.shape, dtype=bool)
-    n_digits = _digits(words, q, m, big)
+    # the cells that float() settles: first those whose mantissa passes 2**64
+    unsettled = np.zeros(q.shape, dtype=bool)
+    n_digits = _digits(words, q, m, unsettled)
     point = buf[q] == _DOT
     q += point
-    n_fraction = _digits(words, q, m, big)
-    c = buf[q]
-    has_exponent = (c == _E) | (c == _LOWER_E)
-    q += has_exponent
-    c = buf[q]
-    exponent_sign = has_exponent & ((c == _MINUS) | (c == _PLUS))
-    negative_exponent = exponent_sign & (c == _MINUS)
-    q += exponent_sign
-    exponent = np.zeros(q.shape, dtype=_U64)
-    n_exponent = _digits(words, q, exponent, big)
+    n_fraction = _digits(words, q, m, unsettled)
     n_digits += n_fraction
-    if not ((q == ends) & (n_digits > 0) & (n_exponent >= has_exponent)).all():
+    # the value is m * 10**q10
+    q10 = np.negative(n_fraction, out=n_fraction)
+    # few cells have an exponent: its scan runs on those alone
+    c = buf[q]
+    at = np.flatnonzero((c == _E) | (c == _LOWER_E))
+    if at.size:
+        qe = q[at] + 1
+        c = buf[qe]
+        qe += (c == _MINUS) | (c == _PLUS)
+        exponent = np.zeros(qe.shape, dtype=_U64)
+        unsettled_e = unsettled[at]
+        if not (_digits(words, qe, exponent, unsettled_e) > 0).all():
+            return None
+        q[at] = qe
+        unsettled[at] = unsettled_e | (exponent > _U64(_MAX_EXPONENT))
+        e = np.minimum(exponent, _U64(_MAX_EXPONENT), out=exponent).view(np.intp)
+        np.negative(e, out=e, where=c == _MINUS)
+        q10[at] += e
+    if not ((q == ends) & (n_digits > 0)).all():
         return None
     # the arrays go as soon as they are used: a chunk's working set is a
     # few times its bytes, on every worker at once
-    del q, n_digits, n_exponent
-
-    # the value is m * 10**q10
-    unsettled = big | (exponent > _U64(_MAX_EXPONENT))
-    q10 = np.minimum(exponent, _U64(_MAX_EXPONENT), out=exponent).view(np.intp)
-    np.negative(q10, out=q10, where=negative_exponent)
-    q10 -= n_fraction
-    del n_fraction
+    del q, n_digits
     k = np.abs(q10)
     clinger = k <= 22
     clinger &= m <= _U64(2**53)

@@ -113,7 +113,7 @@ def _chunks(items, n_chunks):
 
 
 def _run(work, chunks, scratch):
-    """work(chunks[c], scratch[c]) for every c: chunks[0] in the calling
+    """work(chunks[c], scratch[c]) for every c: the last chunk in the calling
     thread, each other chunk on a thread of its own, started and joined
     here. Waits for every chunk before it raises the first chunk's error, so
     which error surfaces does not depend on timing."""
@@ -125,10 +125,10 @@ def _run(work, chunks, scratch):
         except BaseException as exc:
             errors[c] = exc
 
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(1, len(chunks))]
+    threads = [threading.Thread(target=run, args=(c,)) for c in range(len(chunks) - 1)]
     for thread in threads:
         thread.start()
-    run(0)
+    run(len(chunks) - 1)
     for thread in threads:
         thread.join()
     for exc in errors:
@@ -178,7 +178,7 @@ def analyze(dataset, config=None):
     The columns, and then the pairs, are split into contiguous runs, one per
     worker: as many workers as there are pairs or CPUs this process may
     use, whichever is fewer, and at most 8. The calling thread runs the
-    first run, and a thread started for the call runs each other run; the
+    last run, and a thread started for the call runs each other run; the
     call joins them all before it returns, so no thread outlives it. With
     one worker (two inputs, or one CPU) no thread starts. There is no
     setting: every index comes from the same numpy calls on the

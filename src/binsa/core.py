@@ -286,8 +286,8 @@ def _mid_ranks(v):
     start..end-1 gets (start + end + 1) / 2: exact in float, and the same
     bits as scipy's rankdata(v, method="average"), which also gives all-NaN
     ranks when v holds a NaN. The ranks are written a block of BLOCK_ROWS
-    sorted positions at a time, so beyond the ranks, the sort order and one
-    bool per value, only the tied positions take memory.
+    sorted positions at a time, so beyond the ranks, the sort order and a
+    bool or two per value, only the tied positions take memory.
     """
     order = np.argsort(v)
     s = v[order]
@@ -305,7 +305,12 @@ def _mid_ranks(v):
         first = np.flatnonzero(np.diff(tied, prepend=-2) != 1)
         starts = tied[first]
         ends = tied[np.append(first[1:], tied.size) - 1] + 2
-        positions = np.union1d(tied, tied + 1)
+        # the sorted positions in a run: p and p + 1 for every tied p
+        in_run = np.zeros(v.size, dtype=bool)
+        in_run[:-1] = tie
+        in_run[1:] |= tie
+        positions = np.flatnonzero(in_run)
+        del in_run
         ranks[order[positions]] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return ranks
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binning as _binning
 from .benchmarks import Model, default_specs, get_model
-from .binning import _MAX_WORKERS, BinningConfig, _usable_cpus, conservation_check
+from .binning import _MAX_WORKERS, BinningConfig, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
 from .simdec import _HUES, State, StateDefinition, _state_of
@@ -154,7 +155,7 @@ def _bulk_rows(fh, n_cols):
     from . import _parse
 
     in_flight = max((os.fstat(fh.fileno()).st_size - fh.tell()) // 16, _SCAN_BYTES)
-    workers = max(1, min(_usable_cpus(), _MAX_WORKERS, in_flight // _SCAN_BYTES))
+    workers = max(1, min(_binning._usable_cpus(), _MAX_WORKERS, in_flight // _SCAN_BYTES))
     chunk = min(in_flight // workers, 16 * _SCAN_BYTES)
     return _parse.read_rows(fh, n_cols, chunk, workers)
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import binning as _binning
 from ._normal import BLOCK_ROWS, ndtr, ndtri
 from .benchmarks import evaluate
-from .binning import analyze
+from .binning import _chunks, _run, analyze
 from .core import Dataset, _centred, _correlation, _mid_ranks
 
 __all__ = [
@@ -430,6 +431,12 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
     correlations need of it alone, its copula normal score and its centred
     values and mid-ranks, is computed once for the grid. Each value then
     computes only column 1, its ranks, the output and the report.
+
+    Where this process may use two or more CPUs, each value's two
+    correlations run on a thread started and joined within that value,
+    beside its report in the calling thread; with one CPU no thread starts.
+    The results are the same bits either way, and an error of the
+    correlations surfaces before one of the report.
     """
     design = sample_inputs(plan, specs)
     a = design[:, 0]
@@ -447,13 +454,24 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
             dep = DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
                                  sign="negative" if value < 0 else "positive")
         matrix = _apply_dependence(design, specs, dep, dep_seed, a_score)
-        b = matrix[:, 1]
-        r_pearson = _correlation(a_centred, _centred(b))
-        r_spearman = _correlation(a_ranks, _centred(_mid_ranks(b)))
-        output = evaluate(model, matrix)
-        report = None
-        if output.max() != output.min():
-            report = analyze(Dataset(inputs=matrix, output=output, specs=specs), binning)
+
+        def correlations():
+            b = matrix[:, 1]
+            return (_correlation(a_centred, _centred(b)),
+                    _correlation(a_ranks, _centred(_mid_ranks(b))))
+
+        def analysis():
+            output = evaluate(model, matrix)
+            if output.max() == output.min():
+                return None
+            return analyze(Dataset(inputs=matrix, output=output, specs=specs), binning)
+
+        # _run gives its last chunk to the calling thread, and raises the
+        # first chunk's error
+        chunks = _chunks([correlations, analysis], _binning._usable_cpus())
+        results = [[] for _ in chunks]
+        _run(lambda parts, into: into.extend(part() for part in parts), chunks, results)
+        (r_pearson, r_spearman), report = sum(results, [])
         return kind, value, r_pearson, r_spearman, report
 
     return [run(kind, value) for kind in ("copula", "equal_portion") for value in grid]

@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import os
 import re
@@ -47,6 +48,36 @@ def test_analyze_reruns_are_byte_identical(tmp_path, capsys):
         a = (tmp_path / "r1" / name).read_bytes()
         b = (tmp_path / "r2" / name).read_bytes()
         assert a == b, name
+
+
+# sha256 of every file of the README's CLI tour at 2000 rows, seed 1. A
+# change that moves any byte of them must edit these values and say why.
+_TOUR_SHA256 = {
+    "combined_indices.svg": "14999b9c181e1521501ff80f339e834122800b08ee72178b1975ad2ff993b900",
+    "compare.json": "9e3228099d5f886002351028fdc4b030c3a473fe9e6ec78b3ad84cdeb2e52de8",
+    "dataset.csv": "341c7090503e36e029483bca044655df04d18f6367ca17a2b47569f74bc2fcf6",
+    "report.json": "081e7207301f687d368e8745bea8c93ccb45e1598881ffbe72235eefba68f00e",
+    "report_tables.csv": "b105481125c5a570a99db5b5d64d192adaf5a89991eb4f02749de6530ef07466",
+    "scenarios.csv": "e3ba6a79614c1994f9fc7c2105e480cafc76098c2e34bb5d95df3cd1236047eb",
+    "simdec.svg": "c1886f487862f79d3cf3bb1c2b4d6776d0d545a2009ac03532a55e8bbbfea8be",
+    "sweep.csv": "450c9289f70bdd52d83fffb2adbecb02b1384f57997872a67fc2a462c2bf703f",
+}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_tour_outputs_keep_their_sha256(tmp_path, capsys, monkeypatch, cpus):
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: cpus)
+    out = str(tmp_path)
+    common = ["--n", "2000", "--seed", "1", "--out", out]
+    data = os.path.join(out, "dataset.csv")
+    for argv in (["sample", "--model", "toy_portfolio"] + common,
+                 ["analyze", data, "--out", out],
+                 ["simdec", data, "--out", out],
+                 ["compare", "--model", "ishigami"] + common,
+                 ["sweep-dependence", "--model", "two_factor_multiplicative"] + common):
+        assert run(argv, capsys)[0] == 0, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == _TOUR_SHA256
 
 
 def test_simdec_default_and_states_file(tmp_path, capsys):

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
+import binsa
 from binsa import BinningConfig, Dataset, InputSpec, MarginalDistribution, analyze
 from binsa.core import (
     SensitivityReport,
@@ -160,6 +165,22 @@ def test_mid_ranks_equal_scipy_rankdata_bitwise():
         cases.append(rng.integers(0, rng.integers(1, 50), size=rng.integers(2, 500)) * 0.1)
     for v in cases:
         assert _mid_ranks(v).tobytes() == rankdata(v, method="average").tobytes()
+
+
+def test_mid_ranks_of_ties_leave_numpy_ma_unimported():
+    # np.union1d imports numpy.ma, which no binsa command loads otherwise
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from binsa.core import spearman\n"
+        "x = np.repeat(np.arange(50.0), 4)\n"
+        "assert spearman(x, x[::-1].copy()) == -1.0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_marginal_constructors_validate():

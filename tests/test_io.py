@@ -371,6 +371,37 @@ def test_bulk_read_is_the_same_for_any_chunk_size_and_worker_count(tmp_path):
         sys.setswitchinterval(interval)
 
 
+def test_bulk_read_of_exponents_in_one_chunk_is_bitwise_float(tmp_path):
+    # the exponent's scan runs only on the cells that have one: here one row
+    # holds them all, so every other chunk has none; a cell whose exponent
+    # has no digits is still declined
+    rng = np.random.default_rng(5)
+    cells = [[repr(v) for v in row] for row in (rng.uniform(-1e3, 1e3, size=(600, 3))).tolist()]
+    cells[399] = ["1.5e-300", "-6.02214076E+23", "7e0"]
+    cells[400] = ["2.5e-5", "1E22", "-1e-400"]
+    cells[401] = ["0.0e+123456", "4.9e-324", "+1.7976931348623157e308"]
+    assert sum("e" in c.lower() for row in cells for c in row) == 9
+    p = tmp_path / "d.csv"
+    p.write_text("".join(",".join(row) + "\n" for row in cells))
+    want = np.array([[float(c) for c in row] for row in cells]).tobytes(order="F")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for chunk in (13, 100, 1000, 4096, 1 << 16):
+            for workers in (1, 2, 3):
+                with open(p, "rb") as raw:
+                    rows = binsa._parse.read_rows(raw, 3, chunk, workers)
+                assert rows.tobytes(order="F") == want, (chunk, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    for bad in ("1e", "1e+", "-2.5E-", "3e,", "4e 5"):
+        cells[400][1] = bad.rstrip(",")
+        p.write_text("".join(",".join(row) + "\n" for row in cells))
+        for workers in (1, 3):
+            with open(p, "rb") as raw:
+                assert binsa._parse.read_rows(raw, 3, 4096, workers) is None, (bad, workers)
+
+
 def _plain_rows(n, n_cols=7):
     """The text of a dataset CSV: a header and n rows of n_cols random numbers."""
     x = np.random.default_rng(0).random((n, n_cols))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -5,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import qmc
 
+import binsa
 from binsa import (
     BinningConfig,
     Dataset,
@@ -379,3 +383,59 @@ def test_sweep_dependence_frees_each_value_before_the_next():
     one = peak((0.5,))
     seven = peak(grid)
     assert seven <= 1.25 * one, (one, seven)
+
+
+def test_sweep_dependence_is_the_same_bits_on_any_cpu_count(monkeypatch):
+    # on a short switch interval the correlations' thread and the report
+    # interleave as much as they can
+    model = get_model("two_factor_multiplicative")
+    specs = default_specs(model)
+    plan = SamplingPlan("QMC", 5000, seed=3)
+    grid = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda cpus=cpus: cpus)
+            runs.append([_bits(*row) for row in sweep_dependence(model, specs, plan, grid)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_sweep_dependence_raises_the_correlations_error_first(monkeypatch, cpus):
+    # on a column a of width 1e-300 the correlations are degenerate (its
+    # sum of squares underflows to 0) and so is each report (a "constant
+    # output": the output variance underflows too); as when the two ran in
+    # turn, the correlations' error is the one that surfaces
+    model = get_model("two_factor_multiplicative")
+    specs = (InputSpec("A", MarginalDistribution.uniform(0.0, 1e-300)),) + default_specs(model)[1:]
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError, match="degenerate correlation"):
+        sweep_dependence(model, specs, SamplingPlan("QMC", 1000, seed=1), (0.5,))
+
+
+def test_sweep_dependence_starts_one_thread_per_value_only_on_two_cpus():
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import threading\n"
+        "from binsa import SamplingPlan, default_specs, get_model, binning\n"
+        "from binsa.sampling import sweep_dependence\n"
+        "starts = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: starts.append(self) or start(self)\n"
+        "model = get_model('two_factor_multiplicative')\n"
+        "args = (model, default_specs(model), SamplingPlan('QMC', 2000, seed=1), (-0.5, 0.0, 0.5))\n"
+        "binning._usable_cpus = lambda: 1\n"
+        "sweep_dependence(*args)\n"
+        "assert not starts, 'thread started'\n"
+        "binning._usable_cpus = lambda: 2\n"
+        "sweep_dependence(*args)\n"
+        "assert len(starts) == 6, starts  # two kinds of plan, three values each\n"
+        "assert threading.active_count() == 1, 'thread left running'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
