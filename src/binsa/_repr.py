@@ -15,7 +15,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["WIDTH", "repr_bytes"]
+__all__ = ["WIDTH", "repr_bytes", "template"]
 
 _MANTISSA_BITS = 52
 _BIAS = 1023
@@ -127,33 +127,51 @@ def _tables():
 
 
 def _mul_64(a, b):
-    """The low and high 64-bit words of a * b, for uint64 arrays."""
+    """The low and high 64-bit words of a * b, for uint64 arrays. The
+    partial products are formed in place of the halves they replace, the
+    first of them in b."""
     a0, a1 = a & _LO32, a >> _U64(32)
-    b0, b1 = b & _LO32, b >> _U64(32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U64(32)) + (p01 & _LO32) + (p10 & _LO32)
-    lo = (mid << _U64(32)) | (p00 & _LO32)
-    hi = a1 * b1 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    b1 = b >> _U64(32)
+    b0 = np.bitwise_and(b, _LO32, out=b)
+    p00 = a0 * b0
+    p01 = np.multiply(a0, b1, out=a0)
+    p10 = np.multiply(b0, a1, out=b0)
+    hi = np.multiply(a1, b1, out=a1)
+    del b1
+    mid = p00 >> _U64(32)
+    mid += p01 & _LO32
+    mid += p10 & _LO32
+    p00 &= _LO32
+    lo = mid << _U64(32)
+    lo |= p00
+    del p00
+    hi += p01 >> _U64(32)
+    hi += p10 >> _U64(32)
+    hi += mid >> _U64(32)
     return lo, hi
 
 
 def _shr(mid, hi, dist):
     """(hi:mid:lo) >> (64 + dist) as a uint64, 0 < dist < 64: Ryu's
-    shiftright128 of the top two words of a 192-bit product."""
-    return (hi << (_U64(64) - dist)) | (mid >> dist)
+    shiftright128 of the top two words of a 192-bit product, written over
+    hi (mid is shifted in place too)."""
+    hi <<= _U64(64) - dist
+    mid >>= dist
+    hi |= mid
+    return hi
 
 
 def _plus(lo, mid, hi, add_lo, add_hi):
     """The top two words of (hi:mid:lo) + (add_hi:add_lo)."""
-    lo2 = lo + add_lo
-    mid2 = mid + add_hi + (lo2 < lo)
+    mid2 = mid + add_hi
+    mid2 += lo + add_lo < lo
     return mid2, hi + (mid2 < mid)
 
 
 def _minus(lo, mid, hi, sub_lo, sub_hi):
     """The top two words of (hi:mid:lo) - (sub_hi:sub_lo)."""
-    lo2 = lo - sub_lo
-    mid2 = mid - sub_hi - (lo2 > lo)
+    mid2 = mid - sub_hi
+    mid2 -= lo - sub_lo > lo
     return mid2, hi - (mid2 > mid)
 
 
@@ -164,28 +182,39 @@ def _d2d(bits):
     rounded, with no trailing zero, and its power of ten.
     """
     t = _tables()
-    biased = (bits >> _U64(_MANTISSA_BITS)).astype(np.intp) & 0x7FF
-    ieee_mantissa = bits & _U64((1 << _MANTISSA_BITS) - 1)
-    m2 = ieee_mantissa | ((biased != 0).astype(_U64) << _U64(_MANTISSA_BITS))
+    biased = (bits >> _U64(_MANTISSA_BITS)).astype(np.intp)
+    biased &= 0x7FF
+    mv = bits & _U64((1 << _MANTISSA_BITS) - 1)
+    power_of_two = mv == 0
+    np.bitwise_or(mv, _U64(1 << _MANTISSA_BITS), out=mv, where=biased != 0)
     # 2 extra bits give room for the bounds: the interval is (mv - 1 -
     # mm_shift, mv + 2) * 2**e2, mm_shift 0 only at an exact power of two
-    mv = m2 << _U64(2)
+    mv <<= _U64(2)
 
     # Step 3: scale mv and both bounds by 2**e2 / 10**e10. One 192-bit
     # product mv * mul gives all three, each shifted right by 64 + dist.
-    mul_lo, mul_hi, dist = t["mul_lo"].take(biased), t["mul_hi"].take(biased), t["dist"].take(biased)
-    lo, carry = _mul_64(mv, mul_lo)
-    mid, hi = _mul_64(mv, mul_hi)
+    # Each table row is taken where it is next needed, and taken again
+    # rather than kept, to hold the fewest arrays at once.
+    lo, carry = _mul_64(mv, t["mul_lo"].take(biased))
+    mid, hi = _mul_64(mv, t["mul_hi"].take(biased))
     mid += carry
     hi += mid < carry
-    mul2_lo = mul_lo << _U64(1)
-    mul2_hi = (mul_hi << _U64(1)) | (mul_lo >> _U64(63))
-    vr = _shr(mid, hi, dist)
-    vp = _shr(*_plus(lo, mid, hi, mul2_lo, mul2_hi), dist)
-    vm = _shr(*_minus(lo, mid, hi, mul2_lo, mul2_hi), dist)
-    s = np.flatnonzero((ieee_mantissa == 0) & (biased > 1))
+    del carry
+    mul_lo, mul_hi, dist = t["mul_lo"].take(biased), t["mul_hi"].take(biased), t["dist"].take(biased)
+    s = np.flatnonzero(power_of_two & (biased > 1))
     if s.size:
-        vm[s] = _shr(*_minus(lo[s], mid[s], hi[s], mul_lo[s], mul_hi[s]), dist[s])
+        vm_s = _shr(*_minus(lo[s], mid[s], hi[s], mul_lo[s], mul_hi[s]), dist[s])
+    # twice mul, in place
+    mul_hi <<= _U64(1)
+    mul_hi |= mul_lo >> _U64(63)
+    mul_lo <<= _U64(1)
+    vp = _shr(*_plus(lo, mid, hi, mul_lo, mul_hi), dist)
+    vm = _shr(*_minus(lo, mid, hi, mul_lo, mul_hi), dist)
+    del lo, mul_lo, mul_hi
+    vr = _shr(mid, hi, dist)
+    del mid, hi, dist
+    if s.size:
+        vm[s] = vm_s
 
     # Whether the digits that step 4 drops from vr (vm) are all zeros.
     vr_zeros = (mv & t["low_bits"].take(biased)) == 0
@@ -194,7 +223,7 @@ def _d2d(bits):
     if s.size:
         b = biased[s]
         vr_zeros[s], vm_zeros[s], vp[s] = _exact_bounds(
-            mv[s], (ieee_mantissa[s] != 0) | (b <= 1), t["q"][b], t["positive_e2"][b], vp[s],
+            mv[s], ~power_of_two[s] | (b <= 1), t["q"][b], t["positive_e2"][b], vp[s],
             t["pow5"])
 
     # Step 4: drop digits while the interval still holds a shorter decimal.
@@ -236,18 +265,28 @@ def _exact_bounds(mv, mm_shift, q, positive_e2, vp, pow5):
 def _shortest_common(vr, vp, vm, t):
     """Ryu's digit removal when no bound is exact (about 99% of doubles):
     drop the digits that vp and vm do not share, then round vr half up on
-    them, or up when it fell to vm."""
+    them, or up when it fell to vm. vp and vm are divided in place."""
     removed = np.zeros(vr.shape, dtype=np.intp)
-    act, up, down = np.arange(vr.size), vp, vm
+    act = np.arange(vr.size)
+    up, down = np.floor_divide(vp, _U64(10), out=vp), vm // _U64(10)
     while act.size:
-        up, down = up // _U64(10), down // _U64(10)
         more = np.flatnonzero(up > down)
-        act, up, down = act.take(more), up.take(more), down.take(more)
+        # one at a time, so that each array is freed as the next is made
+        act = act.take(more)
+        up = up.take(more)
+        up //= _U64(10)
+        down = down.take(more)
+        down //= _U64(10)
         removed[act] += 1
     scale = t["pow10"].take(removed)
     out = vr // scale
-    round_up = vr - out * scale >= t["half_pow10"].take(removed)
-    return out + ((out == vm // scale) | round_up), removed
+    rest = out * scale
+    np.subtract(vr, rest, out=rest)
+    round_up = rest >= t["half_pow10"].take(removed)
+    del rest
+    round_up |= out == np.floor_divide(vm, scale, out=vm)
+    out += round_up
+    return out, removed
 
 
 def _drop_digit(act, vr, vp, vm, removed, vp_next, vm_next):
@@ -288,24 +327,39 @@ def _shortest_general(vr, vp, vm, vr_zeros, vm_zeros, even):
     return vr + take_up, removed
 
 
-def _write_digits(out, mantissa, t):
-    """Write the ASCII digits of mantissa (< 10**17) into the n x 17 byte
-    matrix out, left-aligned and padded with '0'; return the digit counts."""
+def _write_digits(chars, columns, mantissa, t):
+    """Write the ASCII digits of mantissa (< 10**17) into the 17 columns
+    of the byte matrix chars from each of columns, left-aligned and padded
+    with '0'; return the digit counts."""
     pow10 = t["pow10"]
     count = np.searchsorted(pow10[1:17], mantissa, side="right") + 1
     v = mantissa * pow10.take(17 - count)
     lead = v // pow10[16]
-    rest = v - lead * pow10[16]
-    hi8 = rest // pow10[8]
-    lo8 = rest - hi8 * pow10[8]
+    v -= lead * pow10[16]
+    lead += _U64(ord("0"))
+    hi8 = v // pow10[8]
+    v -= hi8 * pow10[8]
     groups = np.empty((v.size, 4), dtype=np.uint32)
-    for k, part in enumerate((hi8, lo8)):
+    for k, part in enumerate((hi8, v)):
         top = part // pow10[4]
         groups[:, 2 * k] = t["digits4"].take(top)
-        groups[:, 2 * k + 1] = t["digits4"].take(part - top * pow10[4])
-    out[:, 0] = lead + ord("0")
-    out[:, 1:] = groups.view(np.uint8)
+        part -= top * pow10[4]
+        groups[:, 2 * k + 1] = t["digits4"].take(part)
+    for c in columns:
+        chars[:, c] = lead
+        chars[:, c + 1:c + 17] = groups.view(np.uint8)
     return count
+
+
+def template(n, width=WIDTH):
+    """An n x width (chars, keep) pair for repr_bytes to fill, width >=
+    WIDTH: chars holds the template's constant bytes ("-", "0", ".", "000",
+    "e"), which repr_bytes does not write, so a caller that formats many
+    blocks into one pair lays them out once."""
+    chars = np.empty((n, width), dtype=np.uint8)
+    chars[:, _SIGN], chars[:, _LEAD_ZERO], chars[:, _DOT], chars[:, _E] = b"-0.e"
+    chars[:, _ZEROS:_ZEROS + 3] = ord("0")
+    return chars, np.empty((n, width), dtype=bool)
 
 
 def repr_bytes(values, width=WIDTH, out=None):
@@ -315,28 +369,31 @@ def repr_bytes(values, width=WIDTH, out=None):
     Returns (chars, keep), two n x width matrices (width >= WIDTH), uint8 and
     bool: the bytes chars[i][keep[i]] are the ASCII of repr(float(value i)).
     No value keeps a column past WIDTH, so a caller can put its own bytes
-    there. out, if given, is the (chars, keep) pair to write them into.
+    there. out, if given, is a pair from template(n, width) to write them
+    into; the columns it holds constant must still hold them.
     """
     x = np.ascontiguousarray(values, dtype=np.float64).ravel()
     bits = x.view(_U64)
     t = _tables()
     magnitude = bits & _U64((1 << 63) - 1)
     finite = magnitude < _U64(0x7FF << _MANTISSA_BITS)
-    s = np.flatnonzero(finite & (magnitude != 0))
-    if s.size == x.size:
+    plain = finite & (magnitude != 0)
+    del magnitude
+    if plain.all():
         mantissa, exponent = _d2d(bits)
     else:
         # 0 is mantissa 0, exponent 0: one digit, "0.0"
+        s = np.flatnonzero(plain)
         mantissa = np.zeros(x.size, dtype=_U64)
         exponent = np.zeros(x.size, dtype=np.intp)
         mantissa[s], exponent[s] = _d2d(bits[s])
+    del plain
 
-    chars, keep = out if out is not None else (np.empty((x.size, width), dtype=np.uint8), None)
-    chars[:, [_SIGN, _LEAD_ZERO, _DOT, _E]] = np.frombuffer(b"-0.e", dtype=np.uint8)
-    chars[:, _ZEROS:_ZEROS + 3] = ord("0")
-    count = _write_digits(chars[:, _A:_A + 17], mantissa, t)
-    chars[:, _B:_B + 17] = chars[:, _A:_A + 17]
-    decpt = exponent + count  # the value is 0.d1d2... * 10**decpt
+    chars, keep = out if out is not None else template(x.size, width)
+    count = _write_digits(chars, (_A, _B), mantissa, t)
+    del mantissa
+    decpt = exponent
+    decpt += count  # the value is 0.d1d2... * 10**decpt
     layout = decpt + 3
     s = np.flatnonzero((decpt <= -4) | (decpt > 16))
     if s.size:
@@ -354,7 +411,7 @@ def repr_bytes(values, width=WIDTH, out=None):
     s = np.flatnonzero(~finite)
     if s.size:
         # "inf", "-inf" or "nan": a NaN's sign is not written
-        infinite = magnitude[s] == _U64(0x7FF << _MANTISSA_BITS)
+        infinite = bits[s] << _U64(1) == _U64(0x7FF << (_MANTISSA_BITS + 1))
         chars[s, _A:_A + 3] = np.where(infinite[:, None], np.frombuffer(b"inf", np.uint8),
                                        np.frombuffer(b"nan", np.uint8))
         keep[s] = False

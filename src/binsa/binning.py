@@ -99,8 +99,9 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-# Each worker holds 16 bytes of scratch per row: the cap keeps that memory
-# bounded on hosts with many CPUs.
+# Each worker holds 16 bytes of scratch per row in analyze, and about 3 MB
+# of block buffers in the dataset writer: the cap keeps that memory bounded
+# on hosts with many CPUs.
 _MAX_WORKERS = 8
 
 def _chunks(items, n_chunks):

@@ -14,6 +14,7 @@ import math
 import os
 import re
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,8 +87,17 @@ def write_dataset_csv(path, dataset, metadata=None):
     one byte matrix, a fixed-width slot per cell and a separator after it:
     the numbers from _repr.repr_bytes, the labels from a per-column table.
     The bytes that each slot's mask keeps are written out, so no cell
-    becomes a Python string. The block's values and both matrices are
-    allocated once per write and refilled for each block.
+    becomes a Python string.
+
+    The blocks are dealt out in turn to one worker per CPU this process may
+    use (binning._usable_cpus), at most _MAX_WORKERS and at most one per
+    block: the calling thread is one, and a thread started and joined here
+    runs each other. A worker formats its next block while others write,
+    and writes it once the block before it is written, so the file's bytes
+    do not depend on the number of workers. Each worker's values and byte
+    matrices are allocated once per write and refilled for each block. If
+    a block fails, no block after it is written, and the error of the
+    first block that failed surfaces after every worker has stopped.
     """
     # imported here, not with binsa: compiling the formatter is most of its
     # import time, and only a dataset write needs it
@@ -98,38 +108,78 @@ def write_dataset_csv(path, dataset, metadata=None):
         for j, s in enumerate(dataset.specs)
         if s.distribution.kind == "categorical"
     }
-    k = len(dataset.specs) + 1
+    n, k = dataset.n_rows, len(dataset.specs) + 1
     slot = max([_repr.WIDTH] + [chars.shape[1] for chars, _ in labels.values()])
-    separators = np.full(k, ord(","), dtype=np.uint8)
-    separators[-1] = ord("\n")
     head = io.StringIO()
     meta = _meta_line(metadata)
     if meta:
         head.write(meta + "\n")
     csv.writer(head, lineterminator="\n").writerow(list(dataset.names) + ["output"])
-    block_rows = min(_ROWS_PER_WRITE, dataset.n_rows)
-    block_values = np.empty((block_rows, k))
-    block_chars = np.empty((block_rows * k, slot + 1), dtype=np.uint8)
-    block_keep = np.empty((block_rows * k, slot + 1), dtype=bool)
+    blocks = range(0, n, _ROWS_PER_WRITE)
+    workers = max(1, min(_binning._usable_cpus(), _MAX_WORKERS, len(blocks)))
+    block_rows = min(_ROWS_PER_WRITE, n)
+
+    def allocate():
+        """One worker's values and byte matrices, each separator in place."""
+        chars, keep = _repr.template(block_rows * k, slot + 1)
+        chars.reshape(block_rows, k, slot + 1)[:, :, slot] = ord(",")
+        chars[k - 1::k, slot] = ord("\n")
+        return np.empty((block_rows, k)), chars, keep
+
+    def pieces(start, values, chars, keep):
+        """The bytes of the block at row start, formatted in one worker's
+        buffers, as two arrays: np.compress builds an index of 8 bytes per
+        byte it keeps, so each half of the block bounds that index."""
+        rows = min(_ROWS_PER_WRITE, n - start)
+        values = values[:rows]
+        values[:, :-1] = dataset.inputs[start:start + rows]
+        values[:, -1] = dataset.output[start:start + rows]
+        chars, keep = _repr.repr_bytes(values, width=slot + 1,
+                                       out=(chars[:rows * k], keep[:rows * k]))
+        keep[:, slot] = True
+        cells_chars, cells_keep = chars.reshape(rows, k, slot + 1), keep.reshape(rows, k, slot + 1)
+        for j, (label_chars, label_keep) in labels.items():
+            codes = values[:, j].astype(np.intp)
+            width = label_chars.shape[1]
+            cells_chars[:, j, :width] = label_chars[codes]
+            cells_keep[:, j, :width] = label_keep[codes]
+            cells_keep[:, j, width:slot] = False
+        keep, chars, half = keep.ravel(), chars.ravel(), rows // 2 * k * (slot + 1)
+        return np.compress(keep[:half], chars[:half]), np.compress(keep[half:], chars[half:])
+
+    # blocks are named by their first row: written is the next one to write,
+    # failed the first that raised (n while none has)
+    turn = threading.Condition()
+    written, failed, errors = 0, n, {}
+
+    def work(starts, buffers):
+        nonlocal written, failed
+        for start in starts:
+            try:
+                data = pieces(start, *buffers)
+                with turn:
+                    turn.wait_for(lambda: written == start or failed < start)
+                    if failed < start:
+                        return
+                for piece in data:
+                    fh.write(piece)
+                del data  # freed before the worker's next block is formatted
+                with turn:
+                    written += _ROWS_PER_WRITE
+                    turn.notify_all()
+            except BaseException as exc:
+                with turn:
+                    errors[start] = exc
+                    failed = min(failed, start)
+                    turn.notify_all()
+                return
+
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode("utf-8"))
-        for start in range(0, dataset.n_rows, _ROWS_PER_WRITE):
-            rows = min(_ROWS_PER_WRITE, dataset.n_rows - start)
-            values = block_values[:rows]
-            values[:, :-1] = dataset.inputs[start:start + rows]
-            values[:, -1] = dataset.output[start:start + rows]
-            chars, keep = _repr.repr_bytes(
-                values, width=slot + 1, out=(block_chars[:rows * k], block_keep[:rows * k]))
-            chars, keep = chars.reshape(rows, k, slot + 1), keep.reshape(rows, k, slot + 1)
-            for j, (label_chars, label_keep) in labels.items():
-                codes = values[:, j].astype(np.intp)
-                width = label_chars.shape[1]
-                chars[:, j, :width] = label_chars[codes]
-                keep[:, j, :width] = label_keep[codes]
-                keep[:, j, width:] = False
-            chars[:, :, slot] = separators
-            keep[:, :, slot] = True
-            fh.write(np.compress(keep.ravel(), chars.ravel()))
+        _binning._run(work, [blocks[w::workers] for w in range(workers)],
+                      [allocate() for _ in range(workers)])
+    if errors:
+        raise errors[failed]
 
 
 def _bulk_rows(fh, n_cols):

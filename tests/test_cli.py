@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import binsa
+import binsa._parse
 import binsa.cli
 from binsa.cli import main
 from binsa.core import pearson, spearman
@@ -78,6 +79,15 @@ def test_tour_outputs_keep_their_sha256(tmp_path, capsys, monkeypatch, cpus):
         assert run(argv, capsys)[0] == 0, argv
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert got == _TOUR_SHA256
+
+
+def test_tour_outputs_keep_their_sha256_where_the_reader_has_no_long_double(
+    tmp_path, capsys, monkeypatch
+):
+    # where numpy has no x87 long double the reader settles each cell that
+    # the double fast path cannot with float(): the same bytes come out
+    monkeypatch.setattr(binsa._parse, "_LONG_DOUBLE", False)
+    test_tour_outputs_keep_their_sha256(tmp_path, capsys, monkeypatch, 2)
 
 
 def test_simdec_default_and_states_file(tmp_path, capsys):

@@ -1,10 +1,15 @@
+import builtins
 import csv
 import decimal
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import binsa._parse
+import binsa._repr
+import binsa.binning
 import binsa.io
 
 from binsa import (
@@ -102,6 +109,161 @@ def test_dataset_csv_matches_cell_by_cell_reference(tmp_path):
         label = specs[1].distribution.levels[int(c)]
         writer.writerow([fmt_number(u), label, fmt_number(ds.output[r])])
     assert p.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+_LEVELS = ("lo", "a,b", "", " x", "a\rb", 'q"')
+
+
+def _labelled_dataset(n, seed):
+    """n rows: a number of any magnitude, a categorical input whose labels
+    need quotes (a comma, a quote, a carriage return), are empty or start
+    with a space, and an output of zeros of both signs, exponents and
+    integral values."""
+    rng = np.random.default_rng(seed)
+    specs = (
+        InputSpec("u", MarginalDistribution.uniform(0, 1)),
+        InputSpec("c", MarginalDistribution.categorical(_LEVELS, (1 / 6,) * 6)),
+    )
+    u = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, n)
+    y = rng.choice([0.0, -0.0, 1e16, -2.5e-5, 1234.0, 0.1], n) * rng.integers(1, 4, n)
+    inputs = np.column_stack([u, rng.integers(0, len(_LEVELS), n)])
+    return Dataset(inputs=inputs, output=y, specs=specs)
+
+
+def _reference_csv(ds, metadata):
+    """The dataset file as csv.writer writes it, each number its repr."""
+    ref = io.StringIO()
+    ref.write("# meta " + json.dumps(metadata) + "\n")
+    writer = csv.writer(ref, lineterminator="\n")
+    writer.writerow(["u", "c", "output"])
+    for (u, c), y in zip(ds.inputs.tolist(), ds.output.tolist()):
+        writer.writerow([repr(u), _LEVELS[int(c)], repr(y)])
+    return ref.getvalue().encode("utf-8")
+
+
+def _write_on_a_thread(path, ds):
+    """write_dataset_csv(path, ds) run on a thread that must end within a
+    minute; returns what it raised, or None."""
+    raised = []
+
+    def target():
+        try:
+            write_dataset_csv(path, ds, metadata={"seed": 5})
+        except Exception as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "the write did not return"
+    return raised[0] if raised else None
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_dataset_csv_is_the_reference_bytes_at_any_worker_count(tmp_path, monkeypatch, cpus):
+    # five whole blocks and a short sixth: each worker writes several blocks
+    # in turn with the others, one of them the short block, while the
+    # interpreter switches threads as often as it can (3 and 4 workers may
+    # be more than the host has CPUs)
+    ds = _labelled_dataset(5 * binsa.io._ROWS_PER_WRITE + 777, seed=cpus)
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: cpus)
+    p = tmp_path / "d.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _write_on_a_thread(p, ds) is None
+    finally:
+        sys.setswitchinterval(interval)
+    assert p.read_bytes() == _reference_csv(ds, {"seed": 5})
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_dataset_write_raises_the_first_failed_blocks_error(tmp_path, monkeypatch, cpus):
+    # the third and fourth blocks fail, the fourth first: the third block's
+    # error surfaces once every worker has stopped, after the two blocks
+    # before it and nothing else
+    rows = binsa.io._ROWS_PER_WRITE
+    ds = _labelled_dataset(6 * rows, seed=1)
+    ds = Dataset(inputs=ds.inputs, output=np.arange(6.0 * rows), specs=ds.specs)
+    repr_bytes = binsa._repr.repr_bytes
+
+    def failing(values, **kwargs):
+        if values[0, -1] == 2 * rows:
+            time.sleep(0.05)
+            raise ValueError("third block")
+        if values[0, -1] == 3 * rows:
+            raise ValueError("fourth block")
+        return repr_bytes(values, **kwargs)
+
+    monkeypatch.setattr(binsa._repr, "repr_bytes", failing)
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: cpus)
+    p = tmp_path / "d.csv"
+    exc = _write_on_a_thread(p, ds)
+    assert isinstance(exc, ValueError) and str(exc) == "third block"
+    assert threading.active_count() == 1
+    two_blocks = Dataset(inputs=ds.inputs[:2 * rows], output=ds.output[:2 * rows], specs=ds.specs)
+    assert p.read_bytes() == _reference_csv(two_blocks, {"seed": 5})
+
+
+class _FileFailingOnWrite:
+    """A binary file whose write number fail_at raises a full-disk OSError."""
+
+    def __init__(self, path, mode, fail_at):
+        self.fh, self.writes, self.fail_at = builtins.open(path, mode), 0, fail_at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise OSError(28, "No space left on device")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_dataset_write_raises_a_failed_file_write(tmp_path, monkeypatch, cpus):
+    # the header is write 1 and each block takes two: write 6 is the third
+    # block's
+    ds = _labelled_dataset(6 * binsa.io._ROWS_PER_WRITE, seed=2)
+    monkeypatch.setattr(binsa.io, "open", lambda path, mode: _FileFailingOnWrite(path, mode, 6),
+                        raising=False)
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: cpus)
+    exc = _write_on_a_thread(tmp_path / "d.csv", ds)
+    assert isinstance(exc, OSError) and exc.errno == 28
+    assert threading.active_count() == 1
+
+
+def test_dataset_write_starts_no_thread_on_one_cpu_and_one_fewer_than_its_workers_on_more(
+    tmp_path,
+):
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import sys, threading\n"
+        "import numpy as np\n"
+        "from binsa import Dataset, InputSpec, MarginalDistribution, binning, write_dataset_csv\n"
+        "starts = []\n"
+        "start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: starts.append(self) or start(self)\n"
+        "specs = (InputSpec('a', MarginalDistribution.uniform(0, 1)),)\n"
+        "x = np.random.default_rng(1).random((9 * 2048 + 1, 2))  # 10 blocks\n"
+        "ten = Dataset(inputs=x[:, :1], output=x[:, 1], specs=specs)\n"
+        "one = Dataset(inputs=x[:2048, :1], output=x[:2048, 1], specs=specs)\n"
+        "for cpus, ds, threads in ((1, ten, 0), (4, one, 0), (2, ten, 1), (3, ten, 2),\n"
+        "                          (4, ten, 3), (16, ten, 7)):\n"
+        "    binning._usable_cpus = lambda: cpus\n"
+        "    del starts[:]\n"
+        "    write_dataset_csv(sys.argv[1], ds)\n"
+        "    assert len(starts) == threads, (cpus, starts)\n"
+        "    assert threading.active_count() == 1, 'thread left running'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.csv")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_read_csv_without_specs_infers_uniform(tmp_path):
@@ -477,6 +639,18 @@ def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
     small = _write_peak(tmp_path / "small.csv", 20_000)
     large = _write_peak(tmp_path / "large.csv", 80_000)
     assert abs(large - small) < small / 4, (small, large)
+
+
+def test_write_csv_peak_memory_is_bounded_in_cpus(tmp_path, monkeypatch):
+    # each worker formats into buffers of its own, so the peak grows with
+    # the workers, at most _MAX_WORKERS of them: with any number of CPUs it
+    # stays below _MAX_WORKERS + 1 times the one-CPU peak
+    peaks = {}
+    for cpus in (1, 8, 64):
+        monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda cpus=cpus: cpus)
+        peaks[cpus] = _write_peak(tmp_path / "d.csv", 20_000)
+    bound = (binsa.binning._MAX_WORKERS + 1) * peaks[1]
+    assert peaks[8] < bound and peaks[64] < bound, peaks
 
 
 @pytest.mark.parametrize("cell", ["nan", "-inf", "Infinity", "1e400"])
