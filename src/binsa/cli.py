@@ -80,56 +80,64 @@ def _write(path, text):
         fh.write(text)
 
 
-def cmd_sample(config):
+def _out_path(config, args, name):
+    """The path of output file name in the output directory, which is made
+    if it is not there. A directory that cannot be made is a user-input
+    error naming --out, or the config's out key."""
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        key = "out" if args.out is None else "--out"
+        raise UserInputError(
+            f"{key} must name a directory, got {config.out_dir!r}: {exc.strerror}"
+        ) from None
+    return os.path.join(config.out_dir, name)
+
+
+def cmd_sample(config, args):
     if config.model is None:
         raise UserInputError("sample requires a model")
+    # before the draw: an --out that cannot be a directory costs no sample
+    path = _out_path(config, args, "dataset.csv")
     dataset = _load_or_build(config)
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "dataset.csv")
     write_dataset_csv(path, dataset, metadata=_metadata(config))
     print(path)
     return 0
 
 
-def cmd_analyze(config):
+def cmd_analyze(config, args):
     dataset = _load_or_build(config)
     report = _report(config, dataset, "analyze")
-    os.makedirs(config.out_dir, exist_ok=True)
+    path = _out_path(config, args, "report.json")
     meta = _metadata(config, {"rows": dataset.n_rows})
     report_dict = report_to_dict(report, metadata=meta)
-    _write(
-        os.path.join(config.out_dir, "report.json"),
-        json.dumps(report_dict, indent=2, sort_keys=True) + "\n",
-    )
-    _write(os.path.join(config.out_dir, "report_tables.csv"), report_tables_csv(report, meta))
+    _write(path, json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
+    _write(_out_path(config, args, "report_tables.csv"), report_tables_csv(report, meta))
     chart = bar_chart(
         list(report.names),
         report.combined.tolist(),
         title="combined sensitivity indices",
         metadata=json.dumps(meta, sort_keys=True),
     )
-    _write(os.path.join(config.out_dir, "combined_indices.svg"), chart)
-    print(os.path.join(config.out_dir, "report.json"))
+    _write(_out_path(config, args, "combined_indices.svg"), chart)
+    print(path)
     return 0
 
 
-def cmd_simdec(config, states_path=None):
+def cmd_simdec(config, args):
     dataset = _load_or_build(config)
     with _analysis(config, dataset.n_rows, "simdec"):
         report = analyze(dataset, config.binning)
-        if states_path is not None:
-            states = load_states_file(states_path, dataset)
+        if args.states is not None:
+            states = load_states_file(args.states, dataset)
         else:
             selected = select_inputs(report, config.simdec_max_inputs,
                                      config.simdec_cum_threshold)
             states = default_states(dataset, selected)
         deco = decompose(dataset, states, n_output_bins=config.n_output_bins)
-    os.makedirs(config.out_dir, exist_ok=True)
+    path = _out_path(config, args, "scenarios.csv")
     meta = _metadata(config, {"rows": dataset.n_rows})
-    _write(
-        os.path.join(config.out_dir, "scenarios.csv"),
-        scenario_table_csv(deco, dataset.names, metadata=meta),
-    )
+    _write(path, scenario_table_csv(deco, dataset.names, metadata=meta))
     legend = [f"{sc.scenario_id} " + "/".join(sc.state_labels) for sc in deco.scenarios]
     chart = stacked_histogram(
         deco.histogram_edges.tolist(),
@@ -139,12 +147,12 @@ def cmd_simdec(config, states_path=None):
         title="simulation decomposition",
         metadata=json.dumps(meta, sort_keys=True),
     )
-    _write(os.path.join(config.out_dir, "simdec.svg"), chart)
-    print(os.path.join(config.out_dir, "scenarios.csv"))
+    _write(_out_path(config, args, "simdec.svg"), chart)
+    print(path)
     return 0
 
 
-def cmd_compare(config):
+def cmd_compare(config, args):
     if config.model is None:
         raise UserInputError("compare requires a model-based config")
     if config.dependence:
@@ -173,14 +181,13 @@ def cmd_compare(config):
         "oracle_evaluations": oracle.n_evaluations,
         "metadata": _metadata(config),
     }
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "compare.json")
+    path = _out_path(config, args, "compare.json")
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(path)
     return 0
 
 
-def cmd_sweep_dependence(config):
+def cmd_sweep_dependence(config, args):
     if config.model is None or config.model.name not in ("two_factor_additive",
                                                           "two_factor_multiplicative"):
         raise UserInputError("sweep-dependence requires a two-factor model")
@@ -204,11 +211,19 @@ def cmd_sweep_dependence(config):
             values = (r_pearson, r_spearman, report.first_order[0], report.first_order[1],
                       report.second_order[0, 1], conservation_check(report))
             rows.append(row + [fmt_number(v) for v in values] + ["ok"])
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "sweep.csv")
+    path = _out_path(config, args, "sweep.csv")
     _write(path, table_csv(rows, _metadata(config)))
     print(path)
     return 0
+
+
+_COMMANDS = {
+    "sample": cmd_sample,
+    "analyze": cmd_analyze,
+    "simdec": cmd_simdec,
+    "compare": cmd_compare,
+    "sweep-dependence": cmd_sweep_dependence,
+}
 
 
 def _parser():
@@ -249,15 +264,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "sample":
-            return cmd_sample(config)
-        if args.command == "analyze":
-            return cmd_analyze(config)
-        if args.command == "simdec":
-            return cmd_simdec(config, states_path=args.states)
-        if args.command == "compare":
-            return cmd_compare(config)
-        return cmd_sweep_dependence(config)
+        return _COMMANDS[args.command](config, args)
     except UserInputError as exc:
         _report_error(exc, args.json_errors, _EXIT_USER)
         return _EXIT_USER
@@ -273,5 +280,32 @@ def _report_error(exc, as_json, code):
         print(f"error: {exc}", file=sys.stderr)
 
 
+def run():
+    """The `binsa` script: main on sys.argv, then the end of the process.
+
+    main has closed every file it wrote and joined every thread it started
+    when it returns, so once stdout and stderr are flushed the process ends
+    with os._exit and main's code, skipping the interpreter's teardown
+    (unloading some 230 modules, numpy's and OpenBLAS's finalizers). atexit
+    handlers do not run. argparse's exit (a usage error, --help) keeps its
+    code. A flush that fails, as on a closed pipe, is an internal failure.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse exits with an int
+        code = exc.code
+    # a stream is None when its file descriptor was closed at start-up
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _EXIT_FAILURE
+        _report_error(exc, False, code)
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,11 +1,13 @@
 import ast
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -832,3 +834,137 @@ def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, co
     assert code == 2, err
     assert re.search(message, err), err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, below_a_file, from_config", [
+    ("analyze", False, False),
+    ("sample", True, False),
+    ("sample", True, True),
+], ids=["existing-file", "below-a-file", "config-key"])
+def test_an_out_that_cannot_be_a_directory_is_exit_2(tmp_path, capsys, command, below_a_file,
+                                                       from_config):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "x" if below_a_file else blocker
+    model = "toy_portfolio" if command == "sample" else "ishigami"
+    if from_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "out": str(out)}))
+        argv, key = ["--config", str(cfg)], "out"
+    else:
+        argv, key = ["--model", model, "--out", str(out)], "--out"
+    code, stdout, err = run([command, *argv, "--n", "1000"], capsys)
+    assert code == 2, err
+    assert err.startswith(f"error: {key} must name a directory, got {str(out)!r}: "), err
+    assert stdout == ""
+    assert {p.name for p in tmp_path.iterdir()} == ({"file", "cfg.json"} if from_config
+                                                    else {"file"})
+    assert blocker.read_text() == "kept\n"
+
+
+def _cli_env():
+    # block-buffered stdout, as in a shell pipeline, and this checkout's binsa
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(binsa.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+# the `binsa` console script runs `sys.exit(run())`, as pip writes it
+_LAUNCHERS = {
+    "module": ["-m", "binsa.cli"],
+    "script": ["-c", "import sys; from binsa.cli import run; sys.exit(run())"],
+}
+
+
+def _run_process(launcher, argv, tmp_path, tag):
+    """Exit code, stdout and stderr of argv in a fresh process whose streams
+    go to files."""
+    paths = tmp_path / f"{tag}.stdout", tmp_path / f"{tag}.stderr"
+    with open(paths[0], "wb") as out, open(paths[1], "wb") as err:
+        code = subprocess.run([sys.executable, *_LAUNCHERS[launcher], *argv], env=_cli_env(),
+                              stdout=out, stderr=err, timeout=300).returncode
+    return code, paths[0].read_text(), paths[1].read_text()
+
+
+def test_tour_processes_keep_their_sha256_through_the_process_exit(tmp_path):
+    out = tmp_path / "out"
+    common = ["--n", "2000", "--seed", "1", "--out", str(out)]
+    data = str(out / "dataset.csv")
+    for argv, printed in ((["sample", "--model", "toy_portfolio"] + common, "dataset.csv"),
+                          (["analyze", data, "--out", str(out)], "report.json"),
+                          (["simdec", data, "--out", str(out)], "scenarios.csv"),
+                          (["compare", "--model", "ishigami"] + common, "compare.json"),
+                          (["sweep-dependence", "--model", "two_factor_multiplicative"] + common,
+                           "sweep.csv")):
+        code, stdout, stderr = _run_process("module", argv, tmp_path, argv[0])
+        assert code == 0, stderr
+        assert stdout == str(out / printed) + "\n"
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == _TOUR_SHA256
+
+
+@pytest.mark.parametrize("launcher", sorted(_LAUNCHERS))
+def test_process_exit_codes_and_error_lines(tmp_path, launcher):
+    bad = ["analyze", "--model", "not_a_model", "--out", str(tmp_path / "out")]
+    code, stdout, stderr = _run_process(launcher, bad, tmp_path, "plain")
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: unknown model 'not_a_model'") and stderr.count("\n") == 1
+    code, stdout, stderr = _run_process(launcher, ["--json-errors"] + bad, tmp_path, "json")
+    assert (code, stdout) == (2, "")
+    payload = json.loads(stderr)
+    assert payload["exit_code"] == 2 and "unknown model" in payload["error"]
+    code, _, stderr = _run_process(launcher, ["analyze", "--bins", "x"], tmp_path, "usage")
+    assert code == 2 and "usage: binsa" in stderr
+    code, stdout, _ = _run_process(launcher, ["--help"], tmp_path, "help")
+    assert code == 0 and stdout.startswith("usage: binsa")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_closed_stdout_is_exit_1_with_one_error_line(tmp_path):
+    # the read end is closed before the command starts, so its one printed
+    # line, held in stdout's buffer, fails at run's flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "binsa.cli", "analyze", "--model", "ishigami", "--n", "1000",
+             "--out", str(tmp_path)],
+            env=_cli_env(), stdout=write_end, stderr=subprocess.PIPE, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
+    assert (tmp_path / "report.json").exists()
+
+
+class _Stream(io.StringIO):
+    """A text stream that logs its flushes into events."""
+
+    def __init__(self, name, events):
+        super().__init__()
+        self.name, self.events = name, events
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        super().flush()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sample", "--model", "toy_portfolio", "--n", "10017"], 0),
+    (["analyze", "--model", "ishigami", "--n", "1000"], 0),
+    (["analyze", "--model", "not_a_model"], 2),
+    (["analyze", "--bins", "x"], 2),
+    (["--help"], 0),
+], ids=["sample", "analyze", "bad-model", "usage", "help"])
+def test_run_ends_the_process_with_mains_code_after_flushing(tmp_path, monkeypatch, argv, code):
+    # two workers, so that sample's writer and analyze start threads
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: 2)
+    events = []
+    monkeypatch.setattr(sys, "stdout", _Stream("stdout", events))
+    monkeypatch.setattr(sys, "stderr", _Stream("stderr", events))
+    monkeypatch.setattr(sys, "argv", ["binsa", *argv, "--out", str(tmp_path)])
+    monkeypatch.setattr(os, "_exit", lambda c: events.append(("exit", c, threading.active_count())))
+    binsa.cli.run()
+    assert events[-3:] == [("flush", "stdout"), ("flush", "stderr"), ("exit", code, 1)]
+    assert [e for e in events if e[0] == "exit"] == [("exit", code, 1)]
