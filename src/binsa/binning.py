@@ -160,31 +160,33 @@ def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
 def analyze(dataset, config=None):
     """Full sensitivity report for a dataset.
 
-    First-order indices use the table-interpolated bin count; every pair gets
-    a second-order index on an m x m grid, with both marginal terms
-    recomputed at m bins so the joint and marginal conditional variances
-    share one bin geometry. Numeric bins are equal-width over the column's
-    observed [min, max], rightmost inclusive; a categorical input bins by
-    level at both resolutions. Constant input columns are assigned index 0
-    instead of failing the analysis. First-order bins, and a pair grid, with
-    fewer than 5 rows per cell on average are kept: one note covers the
-    binned numeric inputs' first-order bins when nb > N/5, one covers every
-    numeric pair when m^2 > N/5, and each pair with a categorical input
-    whose n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
-    note is recorded in report.warnings and emitted as a UserWarning. A
-    numeric column whose range is so wide that max - min overflows a float,
-    or so narrow that bins / (max - min) does, has no bin geometry: a
-    ValueError names it.
+    Every index is made of closed indices, V(E[Y | cell]) / Var(Y) over the
+    joint cells of an input subset. First order is input i's at nb bins; a
+    pair's second-order index is its closed index on an m x m grid less both
+    inputs' at m, so the joint and marginal terms share one bin geometry.
+    Numeric bins are equal-width over the column's observed [min, max],
+    rightmost inclusive; a categorical input with L levels is cut into L
+    equal-width cells over [0, L), one per level, at both resolutions.
+    Constant input columns are assigned index 0 instead of failing the
+    analysis. First-order bins, and a pair grid, with fewer than 5 rows per
+    cell on average are kept: one note covers the binned numeric inputs'
+    first-order bins when nb > N/5, one covers every numeric pair when
+    m^2 > N/5, and each pair with a categorical input whose
+    n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
+    note is recorded in report.warnings and emitted as a UserWarning once
+    every index exists. A numeric column whose range is so wide that
+    max - min overflows a float, or so narrow that bins / (max - min) does,
+    has no bin geometry: a ValueError names it.
 
-    The columns, and then the pairs, are split into contiguous runs, one per
-    worker: as many workers as there are pairs or CPUs this process may
+    The columns, and then the subsets, are split into contiguous runs, one
+    per worker: as many workers as there are pairs or CPUs this process may
     use, whichever is fewer, and at most 8. The calling thread runs the
     last run, and a thread started for the call runs each other run; the
     call joins them all before it returns, so no thread outlives it. With
     one worker (two inputs, or one CPU) no thread starts. There is no
-    setting: every index comes from the same numpy calls on the
-    same arrays however the work is split, so the report is bitwise
-    identical for any number of workers.
+    setting: every index comes from the same numpy calls on the same arrays
+    however the work is split, so the report is bitwise identical for any
+    number of workers.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
@@ -198,15 +200,15 @@ def analyze(dataset, config=None):
     nb = config.n_bins_first or bin_count_first(n, k)
     m = config.n_bins_second_per_dim or bin_count_second_per_dim(n)
 
-    categorical = [s.distribution.kind == "categorical" for s in dataset.specs]
-    n_cells = [len(s.distribution.levels) if c else m for s, c in zip(dataset.specs, categorical)]
-    # Row r of codes: input r's pair-resolution cell per row, in y order, in
-    # the narrowest type that holds every cell number.
-    codes = np.empty((k, n), dtype=np.min_scalar_type(max(n_cells) - 1))
+    # levels[i]: categorical input i's level count, 0 for a numeric input
+    levels = [len(s.distribution.levels) if s.distribution.kind == "categorical" else 0
+              for s in dataset.specs]
+    # cells[r][i]: input i's cell count at resolution r, nb (r = 0) or m (r = 1)
+    cells = [[n_levels or n_bins for n_levels in levels] for n_bins in (nb, m)]
+    # codes[r, i]: input i's cell per row at resolution r, in y order. The type
+    # holds each cell count too: a row at the max is cast to it before the clip.
+    codes = np.empty((2, k, n), dtype=np.min_scalar_type(max(cells[0] + cells[1])))
     binned = np.zeros(k, dtype=bool)
-    first = np.zeros(k)
-    marg = np.zeros(k)
-    second = np.zeros((k, k))
     # The workers allocate nothing of length n, only write into their own
     # scratch: a thread's frees go back to its own malloc arena, which would
     # keep that memory.
@@ -214,80 +216,77 @@ def analyze(dataset, config=None):
     scratch = [(np.empty(n), np.empty(n, dtype=np.int64)) for _ in range(workers)]
 
     def bin_columns(columns, buf):
-        offset, idx = buf
+        offset = buf[0]
         for i in columns:
             column = dataset.column(i)
             # order is a permutation, so "clip" never clips; unlike the
             # default "raise" it writes into out without a temporary copy
             np.take(column, order, out=offset, mode="clip")
-            if categorical[i]:
-                np.copyto(idx, offset, casting="unsafe")
-                first[i] = marg[i] = _conditional_variance_ratio(idx, n_cells[i], y, var_y)
-            else:
-                lo = float(column.min())
-                hi = float(column.max())
-                if lo == hi:
-                    continue
-                scales = [n_bins / (hi - lo) for n_bins in (nb, m)]
-                if not all(0.0 < scale < math.inf for scale in scales):
-                    raise ValueError(
-                        f"input column {dataset.names[i]!r} spans [{lo!r}, {hi!r}]: its width "
-                        "or its bin scale overflows a float, so it cannot be cut into "
-                        "equal-width bins"
-                    )
-                offset -= lo
-                ratios = []
-                for n_bins, scale in zip((nb, m), scales):
-                    # the offsets are >= 0, so the cast's truncation is the floor
-                    np.multiply(offset, scale, out=idx, casting="unsafe")
-                    np.minimum(idx, n_bins - 1, out=idx)
-                    ratios.append(_conditional_variance_ratio(idx, n_bins, y, var_y))
-                first[i], marg[i] = ratios
-            codes[i] = idx
+            # a categorical input spans [0, L): its scale L / L is exactly 1.0,
+            # so its cells are its level codes
+            lo, hi = (0.0, levels[i]) if levels[i] else (float(column.min()), float(column.max()))
+            if lo == hi:
+                continue
+            scales = [cells[r][i] / (hi - lo) for r in (0, 1)]
+            if not all(0.0 < scale < math.inf for scale in scales):
+                raise ValueError(
+                    f"input column {dataset.names[i]!r} spans [{lo!r}, {hi!r}]: its width "
+                    "or its bin scale overflows a float, so it cannot be cut into "
+                    "equal-width bins"
+                )
+            offset -= lo
+            for r, scale in enumerate(scales):
+                # the offsets are >= 0, so the cast's truncation is the floor
+                np.multiply(offset, scale, out=codes[r, i], casting="unsafe")
+                np.minimum(codes[r, i], cells[r][i] - 1, out=codes[r, i])
             binned[i] = True
 
     _run(bin_columns, _chunks(range(k), workers), scratch)
-    pairs = list(itertools.combinations(np.flatnonzero(binned).tolist(), 2))
+    inputs = np.flatnonzero(binned).tolist()
+    pairs = list(itertools.combinations(inputs, 2))
+    # (r, i): input i at resolution r; (1, i, j): the pair (i, j) at m. Each
+    # input's pairs follow its own two subsets, so each run gets some of both.
+    subsets = [s for i in inputs for s in [(0, i), (1, i)] + [(1, i, j) for j in inputs if j > i]]
+    closed = {}
 
-    sparse = [(i, j) for i, j in pairs if n_cells[i] * n_cells[j] > n / 5]
-    notes = []
-    if nb > n / 5 and any(b and not c for b, c in zip(binned, categorical)):
-        notes.append("sparse bins: nb exceeds N/5")
-    if any(not (categorical[i] or categorical[j]) for i, j in sparse):
-        notes.append("sparse grid: m^2 exceeds N/5")
-    for i, j in sparse:
-        if categorical[i] or categorical[j]:
-            a, b = dataset.names[i], dataset.names[j]
-            notes.append(
-                f"sparse grid: pair ({a!r}, {b!r}) has {n_cells[i]} x {n_cells[j]} cells, "
-                "more than N/5"
-            )
-    notes += [
-        f"degenerate input column {name!r}: indices set to 0"
-        for name, b in zip(dataset.names, binned)
-        if not b
-    ]
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-
-    def pair_ratios(chunk, buf):
-        # Joint cell of a pair: ci * nj + cj, both read widened to int64. The
-        # scaled index ci * nj is formed once per (i, nj) and shared by the
-        # next pairs in the run that have the same i and nj.
+    def closed_ratios(chunk, buf):
+        # Joint cell of a subset: c_i * n_j + c_j for a pair, c_i for one input,
+        # the codes widened to int64. The scaled c_i * n_j is formed once per
+        # (r, i, n_j) and shared by the next subsets in the run that have it.
         scaled, joint = buf[0].view(np.int64), buf[1]
         formed = None
-        for i, j in chunk:
-            nj = n_cells[j]
-            if formed != (i, nj):
-                np.multiply(codes[i], nj, out=scaled, dtype=np.int64)
-                formed = (i, nj)
-            np.add(scaled, codes[j], out=joint)
-            s_ij = _conditional_variance_ratio(joint, n_cells[i] * nj, y, var_y)
-            second[i, j] = second[j, i] = s_ij - marg[i] - marg[j]
+        for subset in chunk:
+            r, i, *j = subset
+            nj = cells[r][j[0]] if j else 1
+            if formed != (r, i, nj):
+                np.copyto(scaled, codes[r, i])
+                if nj != 1:
+                    scaled *= nj
+                formed = (r, i, nj)
+            cell = np.add(scaled, codes[r, j[0]], out=joint) if j else scaled
+            closed[subset] = _conditional_variance_ratio(cell, cells[r][i] * nj, y, var_y)
 
-    _run(pair_ratios, _chunks(pairs, workers), scratch)
-
+    _run(closed_ratios, _chunks(subsets, workers), scratch)
+    first, second = np.zeros(k), np.zeros((k, k))
+    for i in inputs:
+        first[i] = closed[0, i]
+    for i, j in pairs:
+        second[i, j] = second[j, i] = closed[1, i, j] - closed[1, i] - closed[1, j]
     combined = first + 0.5 * second.sum(axis=1)
+
+    sparse = [(i, j) for i, j in pairs if cells[1][i] * cells[1][j] > n / 5]
+    notes = []
+    if nb > n / 5 and any(b and not c for b, c in zip(binned, levels)):
+        notes.append("sparse bins: nb exceeds N/5")
+    if any(not (levels[i] or levels[j]) for i, j in sparse):
+        notes.append("sparse grid: m^2 exceeds N/5")
+    names = dataset.names
+    notes += [f"sparse grid: pair ({names[i]!r}, {names[j]!r}) has {cells[1][i]} x {cells[1][j]} "
+              "cells, more than N/5" for i, j in sparse if levels[i] or levels[j]]
+    notes += [f"degenerate input column {name!r}: indices set to 0"
+              for name, b in zip(names, binned) if not b]
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
     return SensitivityReport(
         names=dataset.names,
         first_order=first,

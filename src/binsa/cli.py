@@ -274,10 +274,14 @@ def main(argv=None):
 
 
 def _report_error(exc, as_json, code):
-    if as_json:
-        print(json.dumps({"error": str(exc), "exit_code": code}), file=sys.stderr)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
+    """The error's one line on stderr, if stderr can take it: sys.stderr is
+    None when its descriptor was closed at start-up, and a write raises
+    OSError where the descriptor is not open for writing. Either way the
+    exit code stays the error's, and nothing goes to stdout."""
+    line = json.dumps({"error": str(exc), "exit_code": code}) if as_json else f"error: {exc}"
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
 
 
 def run():

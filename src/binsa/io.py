@@ -196,10 +196,11 @@ def _bulk_rows(fh, n_cols):
     sixteenth of the rest of the file, at least _SCAN_BYTES: the parser's
     working set is about six times the bytes in flight, so with cells of
     about 20 bytes the read peaks near 2.1 times the parsed matrix however
-    many CPUs there are. It is split between as many workers as
-    binning.analyze would start, fewer where a chunk would be shorter than
-    _SCAN_BYTES (two threads on short chunks are slower than one), and no
-    chunk is longer than 16 * _SCAN_BYTES.
+    many CPUs there are. It is split between one worker per CPU this
+    process may use (binning._usable_cpus), at most _MAX_WORKERS, fewer
+    where a chunk would be shorter than _SCAN_BYTES (two threads on short
+    chunks are slower than one), and no chunk is longer than
+    16 * _SCAN_BYTES.
     """
     # imported here, not with binsa: only a dataset read needs the parser
     from . import _parse

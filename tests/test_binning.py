@@ -453,17 +453,23 @@ def test_analyze_is_bitwise_equal_for_any_worker_count(monkeypatch, case):
     splits = []
     run = binning._run
     monkeypatch.setattr(
-        binning, "_run", lambda work, chunks, scratch: splits.append(len(chunks)) or run(work, chunks, scratch)
+        binning, "_run", lambda work, chunks, scratch: splits.append([len(c) for c in chunks]) or run(work, chunks, scratch)
     )
     reports = []
-    for cpus in (1, 2, 4):
+    for cpus in (1, 2, 4, 16):
         monkeypatch.setattr(binning, "_usable_cpus", lambda cpus=cpus: cpus)
         splits.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             reports.append(analyze(ds, config))
-        # the columns are split one run per worker: min(pairs, CPUs) of them
-        assert splits[0] == min(cpus, max(1, k * (k - 1) // 2))
+        # one run per worker, max(1, min(CPUs, pairs, _MAX_WORKERS)) of them,
+        # and no more runs than items: the k columns, then the closed subsets,
+        # two per binned input and one per pair of them
+        workers = max(1, min(cpus, k * (k - 1) // 2, binning._MAX_WORKERS))
+        binned = k - sum(note.startswith("degenerate") for note in reports[-1].warnings)
+        subsets = 2 * binned + binned * (binned - 1) // 2
+        assert [len(s) for s in splits] == [min(workers, k), min(workers, subsets)]
+        assert [sum(s) for s in splits] == [k, subsets]
     for rep in reports[1:]:
         for field in ("first_order", "second_order", "combined", "var_y"):
             assert np.asarray(getattr(rep, field)).tobytes() == np.asarray(getattr(reports[0], field)).tobytes(), field

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import pytest
 
@@ -830,10 +831,16 @@ def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, co
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    code, _, err = run([command, "--config", str(cfg), *flags, "--out", str(out)], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run([command, "--config", str(cfg), *flags, "--out", str(out)], capsys)
     assert code == 2, err
     assert re.search(message, err), err
     assert not out.exists()
+    # the error is the one line printed: no note (a warning, which the process
+    # prints on stderr) comes before it, as a sparse-bin note could before an
+    # analysis refused for its bin count
+    assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
 
 @pytest.mark.parametrize("command, below_a_file, from_config", [
@@ -936,6 +943,24 @@ def test_a_closed_stdout_is_exit_1_with_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.decode() == "error: [Errno 32] Broken pipe\n"
     assert (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("shape", ["read-only", "closed"])
+def test_a_closed_stderr_keeps_the_exit_code_and_stdout_clean(tmp_path, shape):
+    # read-only: descriptor 2 is open but not for writing, so a write raises
+    # EBADF; closed: it is closed at exec, so sys.stderr is None
+    argv = [sys.executable, "-m", "binsa.cli", "analyze", "--model", "not_a_model",
+            "--out", str(tmp_path / "out")]
+    blocker = tmp_path / "stderr"
+    blocker.write_bytes(b"")
+    with open(blocker, "rb") as read_only:
+        if shape == "closed":
+            argv = ["sh", "-c", 'exec "$@" 2>&-', "sh", *argv]
+        proc = subprocess.run(argv, env=_cli_env(), stdout=subprocess.PIPE, stderr=read_only,
+                              timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert blocker.read_bytes() == b""
+    assert not (tmp_path / "out").exists()
 
 
 class _Stream(io.StringIO):
