@@ -147,10 +147,7 @@ def read_rows(raw, n_cols, chunk, workers):
         bounds = [0]
         for piece in _chunks(range(cut), workers)[1:]:
             bounds.append(_cut(buf, bounds[-1], piece.start))
-        pieces = list(zip(bounds, bounds[1:] + [cut]))
-        parsed = [[] for _ in pieces]
-        _run(lambda piece, into: into.append(_rows(buf, words, *piece, n_cols)), pieces, parsed)
-        for (values,) in parsed:
+        for values in _run(lambda lo, hi: _rows(buf, words, lo, hi, n_cols), bounds, bounds[1:] + [cut]):
             if values is None or rows + len(values) > n_max:
                 return None
             out[rows:rows + len(values)] = values

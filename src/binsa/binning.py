@@ -99,10 +99,18 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-# Each worker holds 16 bytes of scratch per row in analyze, and about 3 MB
-# of block buffers in the dataset writer: the cap keeps that memory bounded
-# on hosts with many CPUs.
+# Each worker holds 16 bytes of scratch per row in analyze, about 3 MB of
+# block buffers in the dataset writer, and about six times its chunk of at
+# most 1 MiB in the dataset reader: the cap keeps that memory bounded on
+# hosts with many CPUs.
 _MAX_WORKERS = 8
+
+
+def _workers(limit):
+    """Workers for a stage that can use at most limit: one per CPU this
+    process may use, at most _MAX_WORKERS and at most limit, at least 1."""
+    return max(1, min(limit, _usable_cpus(), _MAX_WORKERS))
+
 
 def _chunks(items, n_chunks):
     """items cut into at most n_chunks contiguous runs of near-equal length:
@@ -114,15 +122,15 @@ def _chunks(items, n_chunks):
 
 
 def _run(work, chunks, scratch):
-    """work(chunks[c], scratch[c]) for every c: the last chunk in the calling
-    thread, each other chunk on a thread of its own, started and joined
-    here. Waits for every chunk before it raises the first chunk's error, so
-    which error surfaces does not depend on timing."""
-    errors = [None] * len(chunks)
+    """[work(chunks[c], scratch[c]) for every c]: the last chunk in the
+    calling thread, each other chunk on a thread of its own, started and
+    joined here. Waits for every chunk before it raises the first chunk's
+    error, so which error surfaces does not depend on timing."""
+    results, errors = [None] * len(chunks), [None] * len(chunks)
 
     def run(c):
         try:
-            work(chunks[c], scratch[c])
+            results[c] = work(chunks[c], scratch[c])
         except BaseException as exc:
             errors[c] = exc
 
@@ -135,6 +143,7 @@ def _run(work, chunks, scratch):
     for exc in errors:
         if exc is not None:
             raise exc
+    return results
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
@@ -179,8 +188,7 @@ def analyze(dataset, config=None):
     has no bin geometry: a ValueError names it.
 
     The columns, and then the subsets, are split into contiguous runs, one
-    per worker: as many workers as there are pairs or CPUs this process may
-    use, whichever is fewer, and at most 8. The calling thread runs the
+    per worker, _workers(pairs) of them. The calling thread runs the
     last run, and a thread started for the call runs each other run; the
     call joins them all before it returns, so no thread outlives it. With
     one worker (two inputs, or one CPU) no thread starts. There is no
@@ -212,7 +220,7 @@ def analyze(dataset, config=None):
     # The workers allocate nothing of length n, only write into their own
     # scratch: a thread's frees go back to its own malloc arena, which would
     # keep that memory.
-    workers = max(1, min(k * (k - 1) // 2, _usable_cpus(), _MAX_WORKERS))
+    workers = _workers(k * (k - 1) // 2)
     scratch = [(np.empty(n), np.empty(n, dtype=np.int64)) for _ in range(workers)]
 
     def bin_columns(columns, buf):
@@ -245,8 +253,11 @@ def analyze(dataset, config=None):
     inputs = np.flatnonzero(binned).tolist()
     pairs = list(itertools.combinations(inputs, 2))
     # (r, i): input i at resolution r; (1, i, j): the pair (i, j) at m. Each
-    # input's pairs follow its own two subsets, so each run gets some of both.
-    subsets = [s for i in inputs for s in [(0, i), (1, i)] + [(1, i, j) for j in inputs if j > i]]
+    # input's pairs follow its own subsets, so each run gets some of both.
+    # An input with as many cells at nb as at m has the same codes at both,
+    # so only (1, i) is listed for it.
+    subsets = [s for i in inputs for s in [(0, i)] * (cells[0][i] != cells[1][i]) + [(1, i)]
+               + [(1, i, j) for j in inputs if j > i]]
     closed = {}
 
     def closed_ratios(chunk, buf):
@@ -269,7 +280,7 @@ def analyze(dataset, config=None):
     _run(closed_ratios, _chunks(subsets, workers), scratch)
     first, second = np.zeros(k), np.zeros((k, k))
     for i in inputs:
-        first[i] = closed[0, i]
+        first[i] = closed.get((0, i), closed[1, i])
     for i, j in pairs:
         second[i, j] = second[j, i] = closed[1, i, j] - closed[1, i] - closed[1, j]
     combined = first + 0.5 * second.sum(axis=1)

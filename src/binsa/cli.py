@@ -22,6 +22,7 @@ from .io import (
     fmt_number,
     load_config,
     load_states_file,
+    named_indices,
     read_dataset_csv,
     report_tables_csv,
     report_to_dict,
@@ -161,18 +162,10 @@ def cmd_compare(config, args):
     report = _report(config, dataset, "compare")
     oracle = estimate_sobol(config.model, config.specs, config.oracle_n, seed=config.sampling.seed,
                             sampler=config.oracle_sampler)
-    names = list(report.names)
-    first = {}
-    for i, name in enumerate(names):
-        b = float(report.first_order[i])
-        o = float(oracle.first_order[i])
-        first[name] = {"binning": b, "oracle": o, "delta": b - o}
-    second = {}
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            b = float(report.second_order[i, j])
-            o = float(oracle.second_order[i, j])
-            second[f"{names[i]}*{names[j]}"] = {"binning": b, "oracle": o, "delta": b - o}
+    first, second = (
+        {key: {"binning": b, "oracle": theirs[key], "delta": b - theirs[key]} for key, b in ours.items()}
+        for ours, theirs in zip(named_indices(report), named_indices(oracle))
+    )
     payload = {
         "schema_version": SCHEMA_VERSION,
         "first_order": first,

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binning as _binning
 from .benchmarks import Model, default_specs, get_model
-from .binning import _MAX_WORKERS, BinningConfig, conservation_check
+from .binning import BinningConfig, _run, _workers, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
 from .simdec import _HUES, State, StateDefinition, _state_of
@@ -89,12 +88,11 @@ def write_dataset_csv(path, dataset, metadata=None):
     The bytes that each slot's mask keeps are written out, so no cell
     becomes a Python string.
 
-    The blocks are dealt out in turn to one worker per CPU this process may
-    use (binning._usable_cpus), at most _MAX_WORKERS and at most one per
-    block: the calling thread is one, and a thread started and joined here
-    runs each other. A worker formats its next block while others write,
-    and writes it once the block before it is written, so the file's bytes
-    do not depend on the number of workers. Each worker's values and byte
+    The blocks are dealt out in turn to binning._workers(blocks) workers:
+    the calling thread is one, and a thread started and joined here runs
+    each other. A worker formats its next block while others write, and
+    writes it once the block before it is written, so the file's bytes do
+    not depend on the number of workers. Each worker's values and byte
     matrices are allocated once per write and refilled for each block. If
     a block fails, no block after it is written, and the error of the
     first block that failed surfaces after every worker has stopped.
@@ -116,7 +114,7 @@ def write_dataset_csv(path, dataset, metadata=None):
         head.write(meta + "\n")
     csv.writer(head, lineterminator="\n").writerow(list(dataset.names) + ["output"])
     blocks = range(0, n, _ROWS_PER_WRITE)
-    workers = max(1, min(_binning._usable_cpus(), _MAX_WORKERS, len(blocks)))
+    workers = _workers(len(blocks))
     block_rows = min(_ROWS_PER_WRITE, n)
 
     def allocate():
@@ -176,8 +174,7 @@ def write_dataset_csv(path, dataset, metadata=None):
 
     with open(path, "wb") as fh:
         fh.write(head.getvalue().encode("utf-8"))
-        _binning._run(work, [blocks[w::workers] for w in range(workers)],
-                      [allocate() for _ in range(workers)])
+        _run(work, [blocks[w::workers] for w in range(workers)], [allocate() for _ in range(workers)])
     if errors:
         raise errors[failed]
 
@@ -196,17 +193,16 @@ def _bulk_rows(fh, n_cols):
     sixteenth of the rest of the file, at least _SCAN_BYTES: the parser's
     working set is about six times the bytes in flight, so with cells of
     about 20 bytes the read peaks near 2.1 times the parsed matrix however
-    many CPUs there are. It is split between one worker per CPU this
-    process may use (binning._usable_cpus), at most _MAX_WORKERS, fewer
-    where a chunk would be shorter than _SCAN_BYTES (two threads on short
-    chunks are slower than one), and no chunk is longer than
-    16 * _SCAN_BYTES.
+    many CPUs there are. It is split between binning._workers(in_flight //
+    _SCAN_BYTES) workers, so no chunk is shorter than _SCAN_BYTES (two
+    threads on short chunks are slower than one), and no chunk is longer
+    than 16 * _SCAN_BYTES.
     """
     # imported here, not with binsa: only a dataset read needs the parser
     from . import _parse
 
     in_flight = max((os.fstat(fh.fileno()).st_size - fh.tell()) // 16, _SCAN_BYTES)
-    workers = max(1, min(_binning._usable_cpus(), _MAX_WORKERS, in_flight // _SCAN_BYTES))
+    workers = _workers(in_flight // _SCAN_BYTES)
     chunk = min(in_flight // workers, 16 * _SCAN_BYTES)
     return _parse.read_rows(fh, n_cols, chunk, workers)
 
@@ -343,18 +339,23 @@ def _checked_rows(path, reader, header, level_maps):
     return np.asarray(rows, dtype=float)
 
 
+def named_indices(report):
+    """A report's first-order indices by input name and its second-order
+    indices by "a*b", a before b in the report's input order."""
+    names = report.names
+    return dict(zip(names, report.first_order.tolist())), {
+        f"{a}*{b}": float(report.second_order[i, j])
+        for i, a in enumerate(names) for j, b in enumerate(names) if i < j
+    }
+
+
 def report_to_dict(report, metadata=None):
-    names = list(report.names)
-    upper = {}
-    k = len(names)
-    for i in range(k):
-        for j in range(i + 1, k):
-            upper[f"{names[i]}*{names[j]}"] = report.second_order[i, j]
+    first, second = named_indices(report)
     return {
         "schema_version": SCHEMA_VERSION,
-        "first_order": dict(zip(names, report.first_order.tolist())),
-        "second_order": upper,
-        "combined": dict(zip(names, report.combined.tolist())),
+        "first_order": first,
+        "second_order": second,
+        "combined": dict(zip(report.names, report.combined.tolist())),
         "var_y": report.var_y,
         "n_bins_first": report.n_bins_first,
         "n_bins_second_per_dim": report.n_bins_second_per_dim,

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binning as _binning
 from ._normal import BLOCK_ROWS, ndtr, ndtri
 from .benchmarks import evaluate
-from .binning import _chunks, _run, analyze
+from .binning import _chunks, _run, _workers, analyze
 from .core import Dataset, _centred, _correlation, _mid_ranks
 
 __all__ = [
@@ -468,10 +467,9 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
 
         # _run gives its last chunk to the calling thread, and raises the
         # first chunk's error
-        chunks = _chunks([correlations, analysis], _binning._usable_cpus())
-        results = [[] for _ in chunks]
-        _run(lambda parts, into: into.extend(part() for part in parts), chunks, results)
-        (r_pearson, r_spearman), report = sum(results, [])
+        chunks = _chunks([correlations, analysis], _workers(2))
+        results = _run(lambda parts, _: [part() for part in parts], chunks, chunks)
+        (r_pearson, r_spearman), report = [result for chunk in results for result in chunk]
         return kind, value, r_pearson, r_spearman, report
 
     return [run(kind, value) for kind in ("copula", "equal_portion") for value in grid]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import subprocess
@@ -436,11 +437,19 @@ def _pair_grid_300():
     return _uniform_dataset(list(x.T), y), BinningConfig(n_bins_second_per_dim=300)
 
 
+def _numeric_12_at_nb_equal_m():
+    # N = 6000 and K = 12 give nb = m = 10
+    x = np.random.default_rng(23).random((6000, 12))
+    y = x @ np.arange(1.0, 13.0) + x[:, 0] * x[:, 1]
+    return _uniform_dataset(list(x.T), y), None
+
+
 _WORKER_CASES = {
     "two_inputs": _two_inputs,
     "interaction_3": CASES["interaction_3"],
     "additive_12": CASES["additive_12"],
     "categorical_300_levels": _categorical_300_levels,
+    "numeric_12_at_nb_equal_m": _numeric_12_at_nb_equal_m,
     "pair_grid_300": _pair_grid_300,
     "degenerate_column": CASES["degenerate_column"],
 }
@@ -464,16 +473,47 @@ def test_analyze_is_bitwise_equal_for_any_worker_count(monkeypatch, case):
             reports.append(analyze(ds, config))
         # one run per worker, max(1, min(CPUs, pairs, _MAX_WORKERS)) of them,
         # and no more runs than items: the k columns, then the closed subsets,
-        # two per binned input and one per pair of them
+        # one per pair of binned inputs and one per binned input at m, and one
+        # at nb for each binned numeric input when nb != m (a categorical
+        # input has its L cells at both, and is never degenerate)
         workers = max(1, min(cpus, k * (k - 1) // 2, binning._MAX_WORKERS))
-        binned = k - sum(note.startswith("degenerate") for note in reports[-1].warnings)
-        subsets = 2 * binned + binned * (binned - 1) // 2
+        rep = reports[-1]
+        binned = k - sum(note.startswith("degenerate") for note in rep.warnings)
+        categorical = sum(s.distribution.kind == "categorical" for s in ds.specs)
+        at_nb = (binned - categorical) * (rep.n_bins_first != rep.n_bins_second_per_dim)
+        subsets = binned + at_nb + binned * (binned - 1) // 2
         assert [len(s) for s in splits] == [min(workers, k), min(workers, subsets)]
         assert [sum(s) for s in splits] == [k, subsets]
     for rep in reports[1:]:
         for field in ("first_order", "second_order", "combined", "var_y"):
             assert np.asarray(getattr(rep, field)).tobytes() == np.asarray(getattr(reports[0], field)).tobytes(), field
         assert rep.warnings == reports[0].warnings
+
+
+@pytest.mark.parametrize("case, bins, calls, digest", [
+    pytest.param("categorical_300_levels", (83, 18), 8,
+                 "38dbb3f7944213389a13f13cc0e401a1d779bf49296e3b73449d497870513b8a",
+                 id="categorical_300_levels"),
+    pytest.param("numeric_12_at_nb_equal_m", (10, 10), 78,
+                 "d8943a92ac73e55bc6814e16998c0c239e2c9ed9a91f21703139b20d68b98cbe",
+                 id="numeric_12_at_nb_equal_m"),
+])
+def test_analyze_computes_each_closed_index_once(monkeypatch, case, bins, calls, digest):
+    # an input with as many cells at nb as at m, a categorical input or any
+    # numeric input when nb == m, has the same codes at both: one ratio call
+    # gives its first-order index and its pairs' marginal, and the report
+    # keeps the bits it had when that ratio was computed twice (9 and 90 calls)
+    ds, config = _WORKER_CASES[case]()
+    cells = []
+    ratio = binning._conditional_variance_ratio
+    monkeypatch.setattr(binning, "_conditional_variance_ratio",
+                        lambda *args: cells.append(args[1]) or ratio(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rep = analyze(ds, config)
+    assert (rep.n_bins_first, rep.n_bins_second_per_dim) == bins
+    assert len(cells) == calls
+    assert hashlib.sha256(_report_bytes(rep)).hexdigest() == digest
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])

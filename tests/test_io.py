@@ -266,6 +266,50 @@ def test_dataset_write_starts_no_thread_on_one_cpu_and_one_fewer_than_its_worker
     assert proc.returncode == 0, proc.stderr
 
 
+def test_dataset_read_starts_no_thread_on_one_cpu_or_a_short_file_and_at_most_seven_at_once(
+    tmp_path,
+):
+    # _SCAN_BYTES is patched to 1 KiB and each row is 27 bytes. A round is a
+    # sixteenth of the data, so 1213 rows, just under 32 scan lengths (2 MiB
+    # at 64 KiB), give rounds shorter than two scan lengths: one worker and
+    # no thread; 1214 rows are just over. Each round starts its threads in
+    # turn and then joins them, so a round is a run of starts between joins
+    src = os.path.dirname(os.path.dirname(binsa.__file__))
+    code = (
+        "import sys, threading\n"
+        "import binsa.io\n"
+        "from binsa import binning, read_dataset_csv\n"
+        "binsa.io._SCAN_BYTES = 1024\n"
+        "events = []\n"
+        "start, join = threading.Thread.start, threading.Thread.join\n"
+        "def counted_start(self):\n"
+        "    start(self)\n"
+        "    events.append(threading.active_count() - 1)  # helpers alive, this one too\n"
+        "threading.Thread.start = counted_start\n"
+        "threading.Thread.join = lambda self, *args: events.append(None) or join(self, *args)\n"
+        "for cpus, rows, per_round in ((1, 20000, 0), (16, 1213, 0), (16, 1214, 1),\n"
+        "                              (2, 20000, 1), (4, 20000, 3), (16, 20000, 7)):\n"
+        "    with open(sys.argv[1], 'w') as fh:\n"
+        "        fh.write('a,b,output\\n')\n"
+        "        fh.writelines(f'{i % 9 + 1}.{i:06d},{i % 7 + 1}.{i:06d},{i % 5 + 1}.{i:06d}\\n'\n"
+        "                      for i in range(rows))\n"
+        "    binning._usable_cpus = lambda: cpus\n"
+        "    del events[:]\n"
+        "    ds = read_dataset_csv(sys.argv[1])\n"
+        "    assert ds.n_rows == rows and ds.output[-1] == float(f'{(rows - 1) % 5 + 1}.{rows - 1:06d}')\n"
+        "    runs = ''.join('j' if e is None else 's' for e in events).split('j')\n"
+        "    rounds = [len(run) for run in runs if run]\n"
+        "    assert max(rounds, default=0) == per_round, (cpus, rows, rounds)\n"
+        "    alive = [e for e in events if e is not None]\n"
+        "    assert max(alive, default=0) <= min(cpus, 8) - 1, (cpus, rows, alive)\n"
+        "    assert threading.active_count() == 1, 'thread left running'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "d.csv")], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_read_csv_without_specs_infers_uniform(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("a,b,output\n1,10,11\n2,20,22\n3,30,33\n")
