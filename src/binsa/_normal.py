@@ -14,7 +14,8 @@ bit. np.sqrt is correctly rounded, as is every +, -, * and /.
 
 Both functions work through their input BLOCK_ROWS elements at a time, so
 that the temporaries of a call take a fixed amount of memory whatever the
-input's length: only the output grows with it.
+input's length: only the output grows with it, and not even that when the
+caller passes out=, as the sampler does to transform a column in place.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 # Elements per block of ndtri and ndtr, whose temporaries for a block take
 # about 1 MB. The package's other blocked loops (the Sobol' generator, which
-# needs a power of 2, the marginal transform, mid-ranks) use it too.
+# needs a power of 2, the PRNG fill, mid-ranks) use it too.
 BLOCK_ROWS = 16384
 
 # sqrt(2 pi)
@@ -179,26 +180,30 @@ def _libm(fn, x):
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
-def _blocked(kernel, x):
+def _blocked(kernel, x, out=None):
     """kernel applied to x (a float array) BLOCK_ROWS elements at a time,
-    into one new array of x's shape."""
+    into out, or into one new array of x's shape. out may be x itself, or
+    any 1-D view such as a strided column: each block is read whole before
+    it is written."""
     x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty(flat.shape)
+    if out is None:
+        out = np.empty(x.shape)
+    flat, dest = x.reshape(-1), out.reshape(-1)
     with np.errstate(all="ignore"):
         for start in range(0, flat.size, BLOCK_ROWS):
             block = slice(start, start + BLOCK_ROWS)
-            out[block] = kernel(flat[block])
-    return out.reshape(x.shape)
+            dest[block] = kernel(flat[block])
+    return out
 
 
-def ndtri(y0):
+def ndtri(y0, out=None):
     """Inverse of the standard normal CDF, bitwise scipy.special.ndtri.
 
     ndtri(0) = -inf, ndtri(1) = inf, and outside [0, 1] or at NaN the result
-    is NaN. No floating-point warning is raised.
+    is NaN. No floating-point warning is raised. The result goes into out
+    where it is given, which may be y0 itself (see _blocked).
     """
-    return _blocked(_ndtri, y0)
+    return _blocked(_ndtri, y0, out)
 
 
 def _ndtri(flat):
@@ -232,12 +237,13 @@ def _ndtri(flat):
     return out
 
 
-def ndtr(a):
+def ndtr(a, out=None):
     """Standard normal CDF, bitwise scipy.special.ndtr.
 
-    ndtr(NaN) is NaN. No floating-point warning is raised.
+    ndtr(NaN) is NaN. No floating-point warning is raised. The result goes
+    into out where it is given, which may be a itself (see _blocked).
     """
-    return _blocked(_ndtr, a)
+    return _blocked(_ndtr, a, out)
 
 
 def _ndtr(a):

@@ -147,7 +147,7 @@ def _run(work, chunks, scratch):
 
 
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
-    """V_w(E[Y | cell]) / Var(Y).
+    """V_w(E[Y | cell]) / Var(Y), and the rows per cell.
 
     The rows arrive sorted by y, and bincount adds them in array order: each
     cell's sum is built in ascending-y order, which makes it independent of
@@ -163,7 +163,7 @@ def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
     total = n_occ.sum()
     grand = stable_sum(n_occ * means) / total
     wvar = stable_sum(n_occ * (means - grand) ** 2) / total
-    return wvar / var_y
+    return wvar / var_y, counts
 
 
 def analyze(dataset, config=None):
@@ -181,9 +181,11 @@ def analyze(dataset, config=None):
     cell on average are kept: one note covers the binned numeric inputs'
     first-order bins when nb > N/5, one covers every numeric pair when
     m^2 > N/5, and each pair with a categorical input whose
-    n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. Each
-    note is recorded in report.warnings and emitted as a UserWarning once
-    every index exists. A numeric column whose range is so wide that
+    n_cells_i x n_cells_j exceeds N/5 is named in a note of its own. A
+    binned numeric input whose fullest first-order bin holds more than half
+    the rows is named in a "skewed bins" note, counted from the bin counts
+    its index is computed from. Each note is recorded in report.warnings and
+    emitted as a UserWarning once every index exists. A numeric column whose range is so wide that
     max - min overflows a float, or so narrow that bins / (max - min) does,
     has no bin geometry: a ValueError names it.
 
@@ -259,6 +261,8 @@ def analyze(dataset, config=None):
     subsets = [s for i in inputs for s in [(0, i)] * (cells[0][i] != cells[1][i]) + [(1, i)]
                + [(1, i, j) for j in inputs if j > i]]
     closed = {}
+    # fullest[i]: the rows in input i's fullest first-order bin
+    fullest = {}
 
     def closed_ratios(chunk, buf):
         # Joint cell of a subset: c_i * n_j + c_j for a pair, c_i for one input,
@@ -275,7 +279,9 @@ def analyze(dataset, config=None):
                     scaled *= nj
                 formed = (r, i, nj)
             cell = np.add(scaled, codes[r, j[0]], out=joint) if j else scaled
-            closed[subset] = _conditional_variance_ratio(cell, cells[r][i] * nj, y, var_y)
+            closed[subset], counts = _conditional_variance_ratio(cell, cells[r][i] * nj, y, var_y)
+            if not j and cells[r][i] == cells[0][i]:
+                fullest[i] = int(counts.max())
 
     _run(closed_ratios, _chunks(subsets, workers), scratch)
     first, second = np.zeros(k), np.zeros((k, k))
@@ -294,6 +300,8 @@ def analyze(dataset, config=None):
     names = dataset.names
     notes += [f"sparse grid: pair ({names[i]!r}, {names[j]!r}) has {cells[1][i]} x {cells[1][j]} "
               "cells, more than N/5" for i, j in sparse if levels[i] or levels[j]]
+    notes += [f"skewed bins: column {names[i]!r} has {100 * fullest[i] / n:.0f} % of its rows in "
+              f"one of {nb} bins" for i in inputs if not levels[i] and 2 * fullest[i] > n]
     notes += [f"degenerate input column {name!r}: indices set to 0"
               for name, b in zip(names, binned) if not b]
     for note in notes:

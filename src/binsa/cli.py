@@ -58,15 +58,16 @@ def _load_or_build(config):
 @contextlib.contextmanager
 def _analysis(config, n_rows, command):
     """Every command's one way to analyze: fewer than 100 rows, and a
-    ValueError of the data or of the bin counts, are user-input errors. A
-    UserInputError, which names its own location, passes as it is."""
+    ValueError of the data or of the bin counts, or a MemoryError of a bin
+    count the host cannot allocate, are user-input errors. A UserInputError,
+    which names its own location, passes as it is."""
     if n_rows < 100:
         raise UserInputError(f"{command} requires at least 100 rows")
     try:
         yield
     except UserInputError:
         raise
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         where = "" if config.dataset_path is None else f"{config.dataset_path}: "
         raise UserInputError(f"{where}{exc}") from None
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._normal import BLOCK_ROWS, ndtr, ndtri
+from ._normal import BLOCK_ROWS, _blocked, ndtr, ndtri
 from .benchmarks import evaluate
 from .binning import _chunks, _run, _workers, analyze
 from .core import Dataset, _centred, _correlation, _mid_ranks
@@ -290,26 +290,24 @@ def full_factorial(dims, n_budget):
     return out
 
 
-def _ppf(dist, u):
-    if dist.kind == "uniform":
-        return dist.lo + u * (dist.hi - dist.lo)
-    if dist.kind == "normal":
-        z = np.clip(ndtri(u), -_NORMAL_CLAMP, _NORMAL_CLAMP)
-        return dist.mean + dist.sd * z
-    # categorical: inverse CDF over the level probabilities, as level indices
-    cum = np.cumsum(np.asarray(dist.probabilities, dtype=float))
-    cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right").astype(float)
-
-
 def _transform(matrix, specs):
     """Map each column of matrix, unit-hypercube points, through its input's
-    marginal distribution in place, a block of BLOCK_ROWS rows at a time."""
+    marginal distribution in place."""
     for j, spec in enumerate(specs):
-        column = matrix[:, j]
-        for start in range(0, len(column), BLOCK_ROWS):
-            block = column[start : start + BLOCK_ROWS]
-            block[...] = _ppf(spec.distribution, block)
+        dist, column = spec.distribution, matrix[:, j]
+        if dist.kind == "uniform":
+            column *= dist.hi - dist.lo
+            column += dist.lo
+        elif dist.kind == "normal":
+            np.clip(ndtri(column, out=column), -_NORMAL_CLAMP, _NORMAL_CLAMP, out=column)
+            column *= dist.sd
+            column += dist.mean
+        else:
+            # categorical: inverse CDF over the level probabilities, as level
+            # indices, a block of the column at a time as ndtri takes it
+            cum = np.cumsum(np.asarray(dist.probabilities, dtype=float))
+            cum[-1] = 1.0
+            _blocked(lambda u: np.searchsorted(cum, u, side="right"), column, column)
 
 
 def transform_marginals(points, specs):
@@ -330,10 +328,11 @@ def _copula_score(a, dist):
     """The normal score of the uniform column a, on which the gaussian
     copula conditions its partner column."""
     ua = (a - dist.lo) / (dist.hi - dist.lo)
-    return ndtri(np.clip(ua, 1e-16, 1.0 - 1e-16, out=ua))
+    np.clip(ua, 1e-16, 1.0 - 1e-16, out=ua)
+    return ndtri(ua, out=ua)
 
 
-def apply_dependence(matrix, specs, plan, seed=0):
+def apply_dependence(matrix, specs, plan, seed=0, score=None):
     """Inject dependence between two uniform columns of an input matrix.
 
     Copula: column b is regenerated from a gaussian copula conditioned on
@@ -341,19 +340,11 @@ def apply_dependence(matrix, specs, plan, seed=0):
     Equal portion: on a seeded random subset of the given fraction, column b
     is set to column a (positive) or to its reflection lo_b + hi_b - a
     (negative).
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    a_idx = plan.pair[0]
-    score = None
-    if plan.kind == "copula":
-        score = _copula_score(matrix[:, a_idx], specs[a_idx].distribution)
-    return _apply_dependence(matrix, specs, plan, seed, score)
 
-
-def _apply_dependence(matrix, specs, plan, seed, score):
-    """apply_dependence, given the _copula_score of the matrix's column a,
+    score, where it is given, is _copula_score of the matrix's column a,
     which an equal-portion plan does not use: it depends on column a alone,
-    so a caller that applies many plans to one matrix computes it once."""
+    so a caller that applies many plans to one matrix computes it once.
+    """
     a_idx, b_idx = plan.pair
     dist_a = specs[a_idx].distribution
     dist_b = specs[b_idx].distribution
@@ -364,20 +355,18 @@ def _apply_dependence(matrix, specs, plan, seed, score):
     n = a.shape[0]
     rng = np.random.default_rng(seed)
     if plan.kind == "copula":
+        if score is None:
+            score = _copula_score(a, dist_a)
         # lo + ndtr(rho * score + sqrt(1 - rho**2) * eps) * (hi - lo), formed
-        # a block of the noise at a time and written into column b
-        zb = rng.standard_normal(n)
-        scale = math.sqrt(1.0 - plan.rho**2)
+        # in column b
+        eps = rng.standard_normal(n)
+        eps *= math.sqrt(1.0 - plan.rho**2)
         b = out[:, b_idx]
-        for start in range(0, n, BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            z = zb[block]
-            z *= scale
-            z += plan.rho * score[block]
-            ub = ndtr(z)
-            ub *= dist_b.hi - dist_b.lo
-            ub += dist_b.lo
-            b[block] = ub
+        np.multiply(score, plan.rho, out=b)
+        b += eps
+        ndtr(b, out=b)
+        b *= dist_b.hi - dist_b.lo
+        b += dist_b.lo
     else:
         n_set = int(round(plan.fraction * n))
         idx = rng.choice(n, size=n_set, replace=False)
@@ -452,7 +441,7 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
         else:
             dep = DependencePlan(kind=kind, pair=(0, 1), fraction=abs(value),
                                  sign="negative" if value < 0 else "positive")
-        matrix = _apply_dependence(design, specs, dep, dep_seed, a_score)
+        matrix = apply_dependence(design, specs, dep, dep_seed, a_score)
 
         def correlations():
             b = matrix[:, 1]

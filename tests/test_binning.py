@@ -116,13 +116,18 @@ def test_first_order_independent_noise_is_near_zero():
 
 
 def test_first_order_rightmost_bin_inclusive():
-    # the maximum lands in the last bin, not out of range
+    # the maximum lands in the last bin, not out of range: with the 0.5 there,
+    # 3 of the 4 rows
     x = np.array([0.0, 0.5, 1.0, 1.0])
     y = np.array([0.0, 1.0, 2.0, 2.0])
     ds = _uniform_dataset([x], y)
-    with pytest.warns(UserWarning, match="sparse bins"):
+    with pytest.warns(UserWarning) as record:
         rep = analyze(ds, BinningConfig(n_bins_first=2, n_bins_second_per_dim=2))
     assert np.isfinite(rep.first_order[0])
+    notes = ("sparse bins: nb exceeds N/5",
+             "skewed bins: column 'x1' has 75 % of its rows in one of 2 bins")
+    assert rep.warnings == notes
+    assert tuple(str(w.message) for w in record) == notes
 
 
 def test_first_order_constant_output_raises():
@@ -187,6 +192,29 @@ def test_first_order_sparse_bins_warn_once():
             ),
         )
         assert analyze(cat, BinningConfig(n_bins_first=61)).warnings == ()
+
+
+@pytest.mark.parametrize("config", [None, BinningConfig(n_bins_first=41)],
+                         ids=["nb_83_m_41", "nb_equal_m_41"])
+def test_skewed_bins_note_names_only_a_column_with_most_rows_in_one_bin(config):
+    # x1 = exp(1.5 z) puts most rows in its first equal-width bin; a uniform,
+    # a normal and a balanced two-valued column (half its rows in each end
+    # bin) do not fire. The note's share is that of the bins the first-order
+    # index is computed from, at nb or, when nb = m, at m.
+    n = 100_000
+    rng = np.random.default_rng(3)
+    z1, z2 = rng.standard_normal((2, n))
+    columns = [np.exp(1.5 * z1), z2, rng.random(n), np.tile([0.0, 1.0], n // 2)]
+    ds = _uniform_dataset(columns, z1 + z2 + columns[2] + columns[3])
+    with pytest.warns(UserWarning, match="skewed bins") as record:
+        rep = analyze(ds, config)
+    nb = rep.n_bins_first
+    assert (nb, rep.n_bins_second_per_dim) == ((83, 41) if config is None else (41, 41))
+    share = np.histogram(columns[0], bins=nb)[0].max() / n
+    note = f"skewed bins: column 'x1' has {100 * share:.0f} % of its rows in one of {nb} bins"
+    assert share > 0.5
+    assert rep.warnings == (note,)
+    assert [str(w.message) for w in record] == [note]
 
 
 def test_sparse_grid_warns_for_categorical_pair():

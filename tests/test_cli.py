@@ -843,6 +843,26 @@ def test_bad_config_value_is_exit_2_naming_the_key(tmp_path, capsys, command, co
     assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
 
+@pytest.mark.parametrize("command, target", [
+    ("analyze", "analyze"),
+    ("simdec", "decompose"),
+])
+def test_an_allocation_the_host_cannot_make_is_exit_2(tmp_path, capsys, monkeypatch, command,
+                                                       target):
+    # a bin or output-bin count that numpy can index but the host cannot
+    # allocate raises MemoryError; patched here, as a real request of many TiB
+    # would depend on the host's overcommit policy
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(binsa.cli, target, refuse)
+    out = tmp_path / "out"
+    code, _, err = run([command, "--model", "ishigami", "--n", "2000", "--out", str(out)], capsys)
+    assert code == 2, err
+    assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, below_a_file, from_config", [
     ("analyze", False, False),
     ("sample", True, False),

@@ -146,6 +146,27 @@ def test_ndtri_and_ndtr_equal_scipy_bitwise_across_block_edges(n):
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
+@pytest.mark.parametrize("order", ["F", "C"], ids=["contiguous", "strided"])
+def test_ndtri_and_ndtr_in_place_equal_scipy_bitwise_across_block_edges(n, order):
+    # out=x writes each block over the one it was computed from: column 1 of
+    # an n x 3 matrix, contiguous in column-major order and strided (three
+    # floats apart) in row-major order; columns 0 and 2 are not touched
+    rng = np.random.default_rng(n + 1)
+    u = _with_edges_at_block_bounds(rng.random(n), NDTRI_EDGES)
+    x = _with_edges_at_block_bounds(12.0 * rng.standard_normal(n), NDTR_EDGES)
+    for fn, values, ref in ((ndtri, u, special.ndtri), (ndtr, x, special.ndtr)):
+        matrix = np.array(np.stack([rng.random(n), values, rng.random(n)], axis=1), order=order)
+        before = matrix.copy()
+        column = matrix[:, 1]
+        assert column.strides == ((8,) if order == "F" else (24,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fn(column, out=column) is column
+        assert_bitwise(column, ref(values))
+        assert_bitwise(matrix[:, ::2], before[:, ::2])
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_SIZES)
 @pytest.mark.parametrize("method, scramble", [("QMC", True), ("QMC", False), ("MC", True)])
 def test_sample_inputs_equals_the_whole_array_formulation(n, method, scramble):
     # the design drawn whole, and each column mapped through its marginal

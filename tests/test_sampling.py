@@ -26,6 +26,7 @@ from binsa._normal import BLOCK_ROWS
 from binsa.core import pearson, spearman
 from binsa.sampling import (
     MAX_SOBOL_DIM,
+    _copula_score,
     _lms_shift,
     _sobol_directions,
     apply_dependence,
@@ -237,6 +238,55 @@ def test_equal_portion_half_fraction_touches_half_rows():
     out = apply_dependence(base, specs, plan, seed=7)
     touched = np.sum(out[:, 1] == out[:, 0])
     assert touched == 1000
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+@pytest.mark.parametrize("plan", [
+    DependencePlan("copula", (0, 2), rho=0.6),
+    DependencePlan("copula", (2, 0), rho=-0.9),
+    DependencePlan("equal_portion", (0, 2), fraction=0.4, sign="negative"),
+], ids=["copula-0.6", "copula-minus-0.9", "equal-portion"])
+def test_apply_dependence_given_the_score_is_the_same_bits(order, plan):
+    # a caller that applies many plans to one matrix passes column a's
+    # copula score; the copula is then formed in column b, which a row-major
+    # matrix strides, across more than one block of the normal functions
+    specs = (
+        InputSpec("a", MarginalDistribution.uniform(2, 5)),
+        InputSpec("n", MarginalDistribution.normal(0, 1)),
+        InputSpec("b", MarginalDistribution.uniform(-1, 3)),
+    )
+    base = np.array(transform_marginals(random_points(3, 2 * BLOCK_ROWS + 5, seed=8), specs),
+                    order=order)
+    kept = base.copy()
+    a = plan.pair[0]
+    score = _copula_score(base[:, a], specs[a].distribution)
+    got = apply_dependence(base, specs, plan, seed=4, score=score)
+    want = apply_dependence(base, specs, plan, seed=4)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(base, kept)
+
+
+def test_sweep_dependence_calls_apply_dependence_with_the_score(monkeypatch):
+    # one call per plan of the grid, each given column 0's copula score
+    calls = []
+    apply = binsa.sampling.apply_dependence
+
+    def spy(matrix, specs, plan, seed=0, score=None):
+        calls.append((plan.kind, plan.rho, plan.fraction, plan.sign, score))
+        return apply(matrix, specs, plan, seed, score)
+
+    monkeypatch.setattr(binsa.sampling, "apply_dependence", spy)
+    model = get_model("two_factor_additive")
+    specs = default_specs(model)
+    plan = SamplingPlan("QMC", 2000, seed=4)
+    sweep_dependence(model, specs, plan, (-0.5, 0.25))
+    assert [call[:4] for call in calls] == [
+        ("copula", -0.5, 0.0, "positive"), ("copula", 0.25, 0.0, "positive"),
+        ("equal_portion", 0.0, 0.5, "negative"), ("equal_portion", 0.0, 0.25, "positive"),
+    ]
+    design = sample_inputs(plan, specs)
+    score = _copula_score(design[:, 0], specs[0].distribution)
+    assert all(call[4].tobytes() == score.tobytes() for call in calls)
 
 
 def test_dependence_requires_uniform_marginals():
