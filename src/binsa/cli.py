@@ -77,15 +77,14 @@ def _report(config, dataset, command):
         return analyze(dataset, config.binning)
 
 
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _json(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _out_path(config, args, name):
-    """The path of output file name in the output directory, which is made
-    if it is not there. A directory that cannot be made is a user-input
-    error naming --out, or the config's out key."""
+def _out_dir(config, args):
+    """The output directory, made if it is not there. A directory that
+    cannot be made is a user-input error naming --out, or the config's out
+    key."""
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except OSError as exc:
@@ -93,37 +92,40 @@ def _out_path(config, args, name):
         raise UserInputError(
             f"{key} must name a directory, got {config.out_dir!r}: {exc.strerror}"
         ) from None
-    return os.path.join(config.out_dir, name)
+    return config.out_dir
+
+
+def _save(config, args, files):
+    """Write a command's files, {name: text}, each built before any is
+    written, into the output directory; the path of the first."""
+    paths = [os.path.join(_out_dir(config, args), name) for name in files]
+    for path, text in zip(paths, files.values()):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return paths[0]
 
 
 def cmd_sample(config, args):
     if config.model is None:
         raise UserInputError("sample requires a model")
     # before the draw: an --out that cannot be a directory costs no sample
-    path = _out_path(config, args, "dataset.csv")
+    path = os.path.join(_out_dir(config, args), "dataset.csv")
     dataset = _load_or_build(config)
     write_dataset_csv(path, dataset, metadata=_metadata(config))
-    print(path)
-    return 0
+    return path
 
 
 def cmd_analyze(config, args):
     dataset = _load_or_build(config)
     report = _report(config, dataset, "analyze")
-    path = _out_path(config, args, "report.json")
     meta = _metadata(config, {"rows": dataset.n_rows})
-    report_dict = report_to_dict(report, metadata=meta)
-    _write(path, json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
-    _write(_out_path(config, args, "report_tables.csv"), report_tables_csv(report, meta))
-    chart = bar_chart(
-        list(report.names),
-        report.combined.tolist(),
-        title="combined sensitivity indices",
-        metadata=json.dumps(meta, sort_keys=True),
-    )
-    _write(_out_path(config, args, "combined_indices.svg"), chart)
-    print(path)
-    return 0
+    return {
+        "report.json": _json(report_to_dict(report, metadata=meta)),
+        "report_tables.csv": report_tables_csv(report, meta),
+        "combined_indices.svg": bar_chart(list(report.names), report.combined.tolist(),
+                                          title="combined sensitivity indices",
+                                          metadata=json.dumps(meta, sort_keys=True)),
+    }
 
 
 def cmd_simdec(config, args):
@@ -137,21 +139,15 @@ def cmd_simdec(config, args):
                                      config.simdec_cum_threshold)
             states = default_states(dataset, selected)
         deco = decompose(dataset, states, n_output_bins=config.n_output_bins)
-    path = _out_path(config, args, "scenarios.csv")
     meta = _metadata(config, {"rows": dataset.n_rows})
-    _write(path, scenario_table_csv(deco, dataset.names, metadata=meta))
     legend = [f"{sc.scenario_id} " + "/".join(sc.state_labels) for sc in deco.scenarios]
-    chart = stacked_histogram(
-        deco.histogram_edges.tolist(),
-        deco.stacked_counts.tolist(),
-        [sc.color for sc in deco.scenarios],
-        legend,
-        title="simulation decomposition",
-        metadata=json.dumps(meta, sort_keys=True),
-    )
-    _write(_out_path(config, args, "simdec.svg"), chart)
-    print(path)
-    return 0
+    return {
+        "scenarios.csv": scenario_table_csv(deco, dataset.names, metadata=meta),
+        "simdec.svg": stacked_histogram(deco.histogram_edges.tolist(), deco.stacked_counts.tolist(),
+                                        [sc.color for sc in deco.scenarios], legend,
+                                        title="simulation decomposition",
+                                        metadata=json.dumps(meta, sort_keys=True)),
+    }
 
 
 def cmd_compare(config, args):
@@ -167,18 +163,14 @@ def cmd_compare(config, args):
         {key: {"binning": b, "oracle": theirs[key], "delta": b - theirs[key]} for key, b in ours.items()}
         for ours, theirs in zip(named_indices(report), named_indices(oracle))
     )
-    payload = {
+    return {"compare.json": _json({
         "schema_version": SCHEMA_VERSION,
         "first_order": first,
         "second_order": second,
         "binning_evaluations": dataset.n_rows,
         "oracle_evaluations": oracle.n_evaluations,
         "metadata": _metadata(config),
-    }
-    path = _out_path(config, args, "compare.json")
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(path)
-    return 0
+    })}
 
 
 def cmd_sweep_dependence(config, args):
@@ -205,10 +197,7 @@ def cmd_sweep_dependence(config, args):
             values = (r_pearson, r_spearman, report.first_order[0], report.first_order[1],
                       report.second_order[0, 1], conservation_check(report))
             rows.append(row + [fmt_number(v) for v in values] + ["ok"])
-    path = _out_path(config, args, "sweep.csv")
-    _write(path, table_csv(rows, _metadata(config)))
-    print(path)
-    return 0
+    return {"sweep.csv": table_csv(rows, _metadata(config))}
 
 
 _COMMANDS = {
@@ -258,7 +247,10 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        return _COMMANDS[args.command](config, args)
+        files = _COMMANDS[args.command](config, args)
+        # sample writes its one file itself and returns its path
+        print(files if isinstance(files, str) else _save(config, args, files))
+        return 0
     except UserInputError as exc:
         _report_error(exc, args.json_errors, _EXIT_USER)
         return _EXIT_USER

@@ -54,15 +54,9 @@ def fmt_number(x):
     return repr(float(x))
 
 
-def _meta_line(metadata):
-    return "# meta " + json.dumps(metadata, sort_keys=True) if metadata else None
-
-
 def _csv_cell(text):
     """text as csv.writer writes it as one cell of a row of several."""
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow([text, ""])
-    return out.getvalue()[:-2]
+    return table_csv([[text, ""]])[:-2]
 
 
 def _label_cells(levels):
@@ -108,11 +102,7 @@ def write_dataset_csv(path, dataset, metadata=None):
     }
     n, k = dataset.n_rows, len(dataset.specs) + 1
     slot = max([_repr.WIDTH] + [chars.shape[1] for chars, _ in labels.values()])
-    head = io.StringIO()
-    meta = _meta_line(metadata)
-    if meta:
-        head.write(meta + "\n")
-    csv.writer(head, lineterminator="\n").writerow(list(dataset.names) + ["output"])
+    head = table_csv([list(dataset.names) + ["output"]], metadata)
     blocks = range(0, n, _ROWS_PER_WRITE)
     workers = _workers(len(blocks))
     block_rows = min(_ROWS_PER_WRITE, n)
@@ -173,7 +163,7 @@ def write_dataset_csv(path, dataset, metadata=None):
                 return
 
     with open(path, "wb") as fh:
-        fh.write(head.getvalue().encode("utf-8"))
+        fh.write(head.encode("utf-8"))
         _run(work, [blocks[w::workers] for w in range(workers)], [allocate() for _ in range(workers)])
     if errors:
         raise errors[failed]
@@ -229,8 +219,22 @@ def read_dataset_csv(path, specs=None):
     """
     try:
         return _read_dataset_csv(path, specs)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UserInputError(f"cannot read dataset {path}: {exc}") from None
+    except UnicodeDecodeError:
+        detail = _row_not_utf8(path)
+    except OSError as exc:
+        detail = exc
+    raise UserInputError(f"cannot read dataset {path}: {detail}")
+
+
+def _row_not_utf8(path):
+    """The first line of file path that is not UTF-8, worded as an error;
+    lines end as in the reader, at each "\n", "\r\n" or "\r"."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return f"row {number} is not UTF-8 ({exc})"
 
 
 def _read_dataset_csv(path, specs):
@@ -368,9 +372,8 @@ def report_to_dict(report, metadata=None):
 def table_csv(rows, metadata=None):
     """CSV text of rows (lists of cells), after a '# meta' line if metadata."""
     out = io.StringIO()
-    meta = _meta_line(metadata)
-    if meta:
-        out.write(meta + "\n")
+    if metadata:
+        out.write("# meta " + json.dumps(metadata, sort_keys=True) + "\n")
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()
 

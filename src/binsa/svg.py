@@ -6,6 +6,7 @@ from __future__ import annotations
 __all__ = ["bar_chart", "stacked_histogram"]
 
 _FONT = "font-family='monospace' font-size='12'"
+_BAR_COLOR = "#1064E7"
 
 
 def escape(text):
@@ -28,7 +29,7 @@ def _fmt(x):
     return f"{x:.2f}".rstrip("0").rstrip(".")
 
 
-def bar_chart(labels, values, title="", metadata="", color="#1064E7"):
+def bar_chart(labels, values, title="", metadata=""):
     """Horizontal bar chart of named index values."""
     if len(labels) != len(values):
         raise ValueError("labels and values must have equal length")
@@ -47,7 +48,7 @@ def bar_chart(labels, values, title="", metadata="", color="#1064E7"):
             f"{escape(str(label))}</text>"
         )
         rows.append(
-            f"<rect x='{_fmt(x)}' y='{y}' width='{_fmt(w)}' height='{bar_h}' fill='{color}'/>"
+            f"<rect x='{_fmt(x)}' y='{y}' width='{_fmt(w)}' height='{bar_h}' fill='{_BAR_COLOR}'/>"
         )
         rows.append(
             f"<text x='{_fmt(left + max(w, 0) + 6)}' y='{y + bar_h - 6}' {_FONT}>"

@@ -509,9 +509,13 @@ def _states(*edges):
         ([{"input": "x1", "states": _states(-4, 0, 4)},
           {"input": "x1", "states": _states(-4, 4)}],
          "states file entry 1 repeats input 'x1'"),
+        ([{"input": "x1", "states": [3, {"name": "b", "min": 0, "max": 4}]}],
+         "states file entry 0, state 0 must be a JSON object, got 3"),
+        ([], "states file defines no inputs"),
     ],
     ids=["missing-min", "top-level-object", "entry-not-object", "eleven-states", "not-covering",
-         "gap", "descending", "overlap", "huge-int", "label-not-string", "repeated-input"],
+         "gap", "descending", "overlap", "huge-int", "label-not-string", "repeated-input",
+         "state-not-object", "no-entries"],
 )
 def test_bad_states_file_is_exit_2_naming_the_entry(tmp_path, capsys, states, message):
     path = tmp_path / "states.json"
@@ -521,6 +525,22 @@ def test_bad_states_file_is_exit_2_naming_the_entry(tmp_path, capsys, states, me
                         "--out", str(out)], capsys)
     assert code == 2, err
     assert re.search(message, err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, chart", [("analyze", "bar_chart"),
+                                            ("simdec", "stacked_histogram")])
+def test_a_command_that_fails_on_its_chart_writes_no_file(tmp_path, capsys, monkeypatch, command,
+                                                           chart):
+    def fail(*args, **kwargs):
+        raise RuntimeError("no chart")
+
+    monkeypatch.setattr(binsa.cli, chart, fail)
+    out = tmp_path / "out"
+    code, stdout, err = run([command, "--model", "ishigami", "--n", "2000", "--out", str(out)],
+                            capsys)
+    assert code == 1
+    assert (stdout, err) == ("", "error: no chart\n")
     assert not out.exists()
 
 

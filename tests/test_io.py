@@ -382,6 +382,10 @@ def test_read_csv_empty_and_tiny_rejected(tmp_path):
     p.write_text("a,output\n1,2\n")
     with pytest.raises(UserInputError, match="at least 2 data rows"):
         read_dataset_csv(p)
+    p.write_text("output\n1\n2\n")
+    with pytest.raises(UserInputError,
+                       match="need at least one input column and one output column"):
+        read_dataset_csv(p)
 
 
 def _read_both_ways(path, monkeypatch, read=read_dataset_csv):
@@ -724,6 +728,33 @@ def test_read_csv_unreadable_file_names_path(tmp_path):
     p.write_bytes("a,output\n1,2\n3,4\n# caf\u00e9\n".encode("latin-1"))
     with pytest.raises(UserInputError, match="cannot read dataset .*latin1.csv"):
         read_dataset_csv(p)
+
+
+@pytest.mark.parametrize("head, bad, tail, row", [
+    (b"a,b,output\r1,2,3\r", b"4,caf\xe9,6\r", b"7,8,9\r", 3),
+    (b"a,b,output\r\n" + b"".join(b"%d,%d,%d\r\n" % (i, i % 7, i * i) for i in range(1000)),
+     b"# caf\xe9\r\n", b"1,2,3\r\n4,5,6\r\n", 1002),
+], ids=["cell-in-first-8-KiB", "hash-line-past-8-KiB"])
+def test_read_csv_names_the_row_that_is_not_utf8(tmp_path, monkeypatch, head, bad, tail, row):
+    # the text reader decodes 8 KiB ahead, so its error's offset is no place
+    # in the file; a '#' line past the header also takes the bulk parser's
+    # decline
+    results = []
+    blank_comments = binsa._parse._blank_comments
+
+    def spy(buf, lo, hi):
+        results.append(blank_comments(buf, lo, hi))
+        return results[-1]
+
+    monkeypatch.setattr(binsa._parse, "_blank_comments", spy)
+    p = tmp_path / "d.csv"
+    p.write_bytes(head + bad + tail)
+    with pytest.raises(UserInputError) as caught:
+        read_dataset_csv(p)
+    assert str(caught.value) == (
+        f"cannot read dataset {p}: row {row} is not UTF-8 ('utf-8' codec can't decode byte "
+        f"0xe9 in position {bad.index(0xE9)}: invalid continuation byte)")
+    assert (False in results) == (len(head) > 8192)
 
 
 def test_categorical_label_needing_quotes_round_trips_byte_stable(tmp_path):

@@ -236,6 +236,31 @@ def test_decompose_categorical_states():
     assert deco.scenarios[0].count == int(np.sum(cat == 0))
 
 
+def test_default_states_give_a_categorical_input_one_state_per_level():
+    n = 300
+    codes = np.arange(n) % 3
+    u = np.linspace(0.0, 1.0, n)
+    specs = (
+        InputSpec("c", MarginalDistribution.categorical(("x", "y", "z"), (0.2, 0.3, 0.5))),
+        InputSpec("u", MarginalDistribution.uniform(0, 1)),
+    )
+    ds = Dataset(inputs=np.column_stack([codes, u]), output=codes + u, specs=specs)
+    (definition,) = default_states(ds, (0,))
+    assert [(s.label, s.levels) for s in definition.states] == [
+        ("x", (0,)), ("y", (1,)), ("z", (2,))]
+    deco = decompose(ds, (definition,))
+    assert [sc.count for sc in deco.scenarios] == [100, 100, 100]
+
+
+def test_decompose_constant_output_has_one_bin():
+    ds = _nested_dataset(n=500)
+    flat = Dataset(inputs=ds.inputs, output=np.full(ds.n_rows, 2.5), specs=ds.specs)
+    deco = decompose(flat, default_states(flat, (0,)))
+    assert deco.histogram_edges.tolist() == [2.0, 3.0]
+    assert deco.stacked_counts.shape == (3, 1)
+    assert deco.stacked_counts.sum() == ds.n_rows
+
+
 def test_assign_colors_structure():
     colors = assign_colors(3, 4)
     assert len(colors) == 12 and len(set(colors)) == 12
