@@ -96,23 +96,39 @@ def _out_dir(config, args):
 
 
 def _save(config, args, files):
-    """Write a command's files, {name: text}, each built before any is
-    written, into the output directory; the path of the first."""
-    paths = [os.path.join(_out_dir(config, args), name) for name in files]
-    for path, text in zip(paths, files.values()):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return paths[0]
+    """Write a command's files, {name: text or Dataset}, each built before
+    any is written, into the output directory; the path of the first. All or
+    nothing: if a write fails or is interrupted, each file this call opened
+    is removed and the error raised as it came. A path that could not be
+    opened, such as a directory in the way, is left alone."""
+    out = _out_dir(config, args)
+    opened = []
+    try:
+        for name, value in files.items():
+            path = os.path.join(out, name)
+            # opened here even for a dataset: only an opened path is removed
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                opened.append(path)
+                # str, not Dataset: bench/child.py's tracer replaces
+                # binsa.cli.Dataset with a function
+                if isinstance(value, str):
+                    fh.write(value)
+                else:
+                    write_dataset_csv(path, value, metadata=_metadata(config))
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return opened[0]
 
 
 def cmd_sample(config, args):
     if config.model is None:
         raise UserInputError("sample requires a model")
     # before the draw: an --out that cannot be a directory costs no sample
-    path = os.path.join(_out_dir(config, args), "dataset.csv")
-    dataset = _load_or_build(config)
-    write_dataset_csv(path, dataset, metadata=_metadata(config))
-    return path
+    _out_dir(config, args)
+    return {"dataset.csv": _load_or_build(config)}
 
 
 def cmd_analyze(config, args):
@@ -247,9 +263,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
-        files = _COMMANDS[args.command](config, args)
-        # sample writes its one file itself and returns its path
-        print(files if isinstance(files, str) else _save(config, args, files))
+        print(_save(config, args, _COMMANDS[args.command](config, args)))
         return 0
     except UserInputError as exc:
         _report_error(exc, args.json_errors, _EXIT_USER)

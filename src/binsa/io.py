@@ -55,8 +55,12 @@ def fmt_number(x):
 
 
 def _csv_cell(text):
-    """text as csv.writer writes it as one cell of a row of several."""
-    return table_csv([[text, ""]])[:-2]
+    """text as csv.writer writes it as one cell of a row of several, and
+    quoted as well where it starts with '#': the readers skip a line that
+    starts with '#' as a comment."""
+    cell = table_csv([[text, ""]])[:-2]
+    # a cell that csv.writer left bare holds no quote to double
+    return f'"{cell}"' if cell.startswith("#") else cell
 
 
 def _label_cells(levels):
@@ -75,12 +79,13 @@ def write_dataset_csv(path, dataset, metadata=None):
     written as level labels.
 
     Numbers are written as repr(float), fmt_number's shortest round-trip
-    form, which never needs quoting; each level label is quoted once, as
-    csv.writer quotes it. Each block of _ROWS_PER_WRITE rows is laid out as
-    one byte matrix, a fixed-width slot per cell and a separator after it:
-    the numbers from _repr.repr_bytes, the labels from a per-column table.
-    The bytes that each slot's mask keeps are written out, so no cell
-    becomes a Python string.
+    form, which never needs quoting; each input name and level label is
+    quoted as csv.writer quotes it, and also where it starts with '#'. Each
+    block of _ROWS_PER_WRITE rows is laid out as one byte matrix, a
+    fixed-width slot per cell and a separator after it: the numbers from
+    _repr.repr_bytes, the labels from a per-column table. The bytes that
+    each slot's mask keeps are written out, so no cell becomes a Python
+    string.
 
     The blocks are dealt out in turn to binning._workers(blocks) workers:
     the calling thread is one, and a thread started and joined here runs
@@ -102,7 +107,7 @@ def write_dataset_csv(path, dataset, metadata=None):
     }
     n, k = dataset.n_rows, len(dataset.specs) + 1
     slot = max([_repr.WIDTH] + [chars.shape[1] for chars, _ in labels.values()])
-    head = table_csv([list(dataset.names) + ["output"]], metadata)
+    head = table_csv([], metadata) + ",".join(map(_csv_cell, [*dataset.names, "output"])) + "\n"
     blocks = range(0, n, _ROWS_PER_WRITE)
     workers = _workers(len(blocks))
     block_rows = min(_ROWS_PER_WRITE, n)
@@ -268,8 +273,10 @@ def _read_dataset_csv(path, specs):
                 raise UserInputError(f"{path}: header repeats the column name {name!r}")
         level_maps = {}
         if specs is not None:
-            if [s.name for s in specs] != names:
-                raise UserInputError(f"{path}: header does not match the provided input specs")
+            spec_names = [s.name for s in specs]
+            if spec_names != names:
+                raise UserInputError(f"{path}: the header's inputs {names} are not the specs' "
+                                     f"{spec_names}")
             for j, s in enumerate(specs):
                 if s.distribution.kind == "categorical":
                     level_maps[j] = {lvl: float(i) for i, lvl in enumerate(s.distribution.levels)}

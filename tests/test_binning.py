@@ -3,6 +3,8 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -612,3 +614,59 @@ def test_two_input_analyze_imports_no_executor_and_starts_no_thread():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_returns_each_chunks_result_in_order_with_the_last_on_the_calling_thread():
+    def work(chunk, scratch):
+        return chunk, scratch, threading.current_thread()
+
+    chunks, scratch = [[1, 2], [3], [4, 5, 6]], ["a", "b", "c"]
+    results = binning._run(work, chunks, scratch)
+    assert [(c, s) for c, s, _ in results] == list(zip(chunks, scratch))
+    threads = [t for _, _, t in results]
+    assert threads[-1] is threading.current_thread()
+    assert len({id(t) for t in threads}) == 3
+    assert threading.active_count() == 1
+
+
+def test_run_on_one_chunk_starts_no_thread():
+    def work(chunk, scratch):
+        return threading.current_thread(), threading.active_count()
+
+    before = threading.active_count()
+    assert binning._run(work, [[1, 2, 3]], [None]) == [(threading.current_thread(), before)]
+
+
+def test_run_raises_the_first_chunks_error_after_every_thread_has_stopped():
+    # chunk 1 fails first in time; chunk 0 fails once it has, and chunk 3
+    # still runs after both: chunk 0's error surfaces, and only once every
+    # thread has stopped
+    chunk_1_failed, threads, finished = threading.Event(), [], []
+
+    def work(chunk, scratch):
+        threads.append(threading.current_thread())
+        if chunk == 1:
+            try:
+                raise ValueError("chunk 1")
+            finally:
+                chunk_1_failed.set()
+        assert chunk_1_failed.wait(60)
+        time.sleep(0.05)
+        if chunk == 0:
+            raise ValueError("chunk 0")
+        finished.append(chunk)
+
+    with pytest.raises(ValueError, match="^chunk 0$"):
+        binning._run(work, [0, 1, 2, 3], [None] * 4)
+    assert sorted(finished) == [2, 3]
+    workers = [t for t in threads if t is not threading.current_thread()]
+    assert len(workers) == 3 and not any(t.is_alive() for t in workers)
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_an_affinity_mask_is_the_cpu_count(monkeypatch, cpu_count, usable):
+    # macOS and Windows have no os.sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert binning._usable_cpus() == usable

@@ -14,10 +14,13 @@ import pytest
 
 import binsa
 import binsa._parse
+import binsa._repr
 import binsa.cli
+import binsa.io
 from binsa.cli import main
 from binsa.core import pearson, spearman
 from binsa.io import fmt_number
+from test_io import _FileFailingOnWrite
 
 
 def run(argv, capsys):
@@ -235,15 +238,20 @@ def test_sweep_dependence_unknown_model_is_exit_2(tmp_path, capsys):
     assert code == 2 and "unknown model 'bogus'" in err
 
 
-def test_sweep_dependence_on_dataset_config_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("command, message", [
+    ("sample", "sample requires a model"),
+    ("compare", "compare requires a model-based config"),
+    ("sweep-dependence", "sweep-dependence requires a two-factor model"),
+], ids=["sample", "compare", "sweep-dependence"])
+def test_a_model_only_command_on_a_dataset_config_is_exit_2(tmp_path, capsys, command, message):
     data = tmp_path / "d.csv"
     data.write_text("a,b,output\n" + "".join(f"{i},{i % 7},{i * i}\n" for i in range(200)))
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset": str(data), "out": str(tmp_path)}))
-    code, _, err = run(["sweep-dependence", "--config", str(cfg)], capsys)
+    code, _, err = run([command, "--config", str(cfg)], capsys)
     assert code == 2
-    assert "sweep-dependence requires a two-factor model" in err
-    assert not (tmp_path / "sweep.csv").exists()
+    assert err == f"error: {message}\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"d.csv", "cfg.json"}
 
 
 def test_missing_input_is_exit_2(capsys):
@@ -542,6 +550,65 @@ def test_a_command_that_fails_on_its_chart_writes_no_file(tmp_path, capsys, monk
     assert code == 1
     assert (stdout, err) == ("", "error: no chart\n")
     assert not out.exists()
+
+
+def _sample_failing_on_a_later_block(monkeypatch, error):
+    """sample at 10000 rows, five blocks, whose third block to be formatted
+    raises error."""
+    repr_bytes, calls = binsa._repr.repr_bytes, []
+
+    def failing(values, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise error
+        return repr_bytes(values, **kwargs)
+
+    monkeypatch.setattr(binsa._repr, "repr_bytes", failing)
+    monkeypatch.setattr(binsa.binning, "_usable_cpus", lambda: 2)
+
+
+def test_a_sample_that_fails_while_it_writes_leaves_no_dataset(tmp_path, capsys, monkeypatch):
+    _sample_failing_on_a_later_block(monkeypatch, RuntimeError("no third block"))
+    out = tmp_path / "out"
+    code, stdout, err = run(["sample", "--model", "toy_portfolio", "--n", "10000",
+                             "--out", str(out)], capsys)
+    assert code == 1
+    assert (stdout, err) == ("", "error: no third block\n")
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_an_interrupted_sample_leaves_no_dataset(tmp_path, capsys, monkeypatch):
+    _sample_failing_on_a_later_block(monkeypatch, KeyboardInterrupt())
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sample", "--model", "toy_portfolio", "--n", "10000", "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_a_sample_whose_disk_fills_leaves_no_dataset(tmp_path, capsys, monkeypatch):
+    # the header is write 1 and the first block's two halves writes 2 and 3
+    monkeypatch.setattr(binsa.io, "open", lambda path, mode: _FileFailingOnWrite(path, mode, 3),
+                        raising=False)
+    out = tmp_path / "out"
+    code, stdout, err = run(["sample", "--model", "toy_portfolio", "--n", "10000",
+                             "--out", str(out)], capsys)
+    assert code == 1
+    assert (stdout, err) == ("", "error: [Errno 28] No space left on device\n")
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
+def test_a_file_that_cannot_be_opened_removes_the_ones_before_it_and_no_other(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report_tables.csv").mkdir(parents=True)
+    (out / "kept.txt").write_text("kept\n")
+    code, stdout, err = run(["analyze", "--model", "ishigami", "--n", "2000", "--out", str(out)],
+                            capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "report_tables.csv" in err and err.count("\n") == 1, err
+    assert {p.name for p in out.iterdir()} == {"report_tables.csv", "kept.txt"}
+    assert (out / "report_tables.csv").is_dir() and (out / "kept.txt").read_text() == "kept\n"
 
 
 def test_repeated_input_name_is_exit_2(tmp_path, capsys):

@@ -792,6 +792,56 @@ def test_categorical_csv_round_trip(tmp_path):
         read_dataset_csv(p, specs=specs)
 
 
+def _hash_led_dataset(n, name, levels):
+    """n rows: a first input named name, categorical over levels if any,
+    else uniform, then a uniform input."""
+    rng = np.random.default_rng(7)
+    inputs = rng.random((n, 2))
+    if levels:
+        first = MarginalDistribution.categorical(levels, (1 / len(levels),) * len(levels))
+        inputs[:, 0] = rng.integers(0, len(levels), n)
+    else:
+        first = MarginalDistribution.uniform(0, 1)
+    specs = (InputSpec(name, first), InputSpec("v", MarginalDistribution.uniform(0, 1)))
+    return Dataset(inputs=inputs, output=inputs.sum(axis=1), specs=specs)
+
+
+@pytest.mark.parametrize("name, levels, line", [
+    ("#pump", None, '"#pump",v,output\n'),
+    ("c", ("#a", "b"), '"#a",'),
+], ids=["first-name", "first-column-label"])
+def test_a_leading_hash_is_quoted_so_no_row_reads_as_a_comment(tmp_path, name, levels, line):
+    # unquoted, the header or a row would start with '#' and both readers
+    # would skip it as a comment
+    ds = _hash_led_dataset(300, name, levels)
+    p = tmp_path / "d.csv"
+    write_dataset_csv(p, ds, metadata={"seed": 0})
+    assert line in p.read_text()
+    back = read_dataset_csv(p, specs=ds.specs)
+    assert back.names == ds.names
+    assert back.inputs.tobytes() == ds.inputs.tobytes()
+    assert back.output.tobytes() == ds.output.tobytes()
+    if levels is None:
+        assert read_dataset_csv(p).inputs.tobytes() == ds.inputs.tobytes()
+
+
+@pytest.mark.parametrize("specs_names, header", [
+    (("u", "v"), "v,u,output"),
+    (("u", "v"), "u,output"),
+], ids=["reordered", "missing-column"])
+def test_read_csv_with_specs_names_both_input_lists(tmp_path, specs_names, header):
+    specs = tuple(InputSpec(nm, MarginalDistribution.uniform(0, 1)) for nm in specs_names)
+    p = tmp_path / "d.csv"
+    n_cols = header.count(",") + 1
+    p.write_text(header + "\n" + "".join(",".join([f"0.{i}"] * n_cols) + "\n"
+                                         for i in range(1, 5)))
+    inputs = header.split(",")[:-1]
+    with pytest.raises(UserInputError) as caught:
+        read_dataset_csv(p, specs=specs)
+    assert str(caught.value) == (f"{p}: the header's inputs {inputs} are not the specs' "
+                                 f"{list(specs_names)}")
+
+
 def test_report_to_dict_schema():
     # seed 3: a plain left-to-right sum of these indices differs from the
     # order-canonical one in the last bit
