@@ -1,12 +1,13 @@
 """The data rows of a dataset CSV, parsed by numpy passes, each value the
 double that float() gives for its cell.
 
-read_rows reads the file in rounds of line-aligned chunks, one chunk per
-worker, on binning's own threads. In a chunk, byte masks find the cells, a
-scanner walks every cell at once (sign, digits, point, digits, exponent),
-turning its digits into a uint64 mantissa eight at a time with SWAR on
-unaligned 8-byte loads, and the mantissa m and the power of ten q are
-converted exactly:
+read_rows cuts the file into chunks at line ends. binning._in_order parses
+each on one of binning's workers, in that worker's own buffer, and puts its
+rows in place in file order; the threads start once per read. In a chunk,
+byte masks find the cells, a scanner walks every cell at once (sign,
+digits, point, digits, exponent), turning its digits into a uint64
+mantissa eight at a time with SWAR on unaligned 8-byte loads, and the
+mantissa m and the power of ten q are converted exactly:
 
 - Clinger's fast path: m <= 2**53 and |q| <= 22 are both exact doubles, and
   one IEEE multiply or divide rounds their product correctly.
@@ -25,17 +26,23 @@ caller's checked reader decides; so this module never words an error.
 
 from __future__ import annotations
 
+import re
+import threading
+
 import numpy as np
 
-from .binning import _chunks, _run
+from .binning import _in_order
 
 __all__ = ["read_rows"]
 
 _U64 = np.uint64
 _LF, _CR, _HASH, _PLUS, _COMMA, _MINUS, _DOT, _E, _LOWER_E, _SPACE, _TAB = b"\n\r#+,-.Ee \t"
-# bytes past a round's data that an 8-byte load, or the line end put after
+# bytes past a chunk's data that an 8-byte load, or the line end put after
 # a last line that has none, may touch
 _PAD = 16
+_LINE_END = re.compile(rb"[\n\r]")
+# the bytes read at a time in search of a line end
+_WINDOW = 4096
 # Each byte of an 8-byte word, little-endian: byte 0 is the first character.
 _ONES = _U64(0x0101010101010101)
 _HIGH = _U64(0x8080808080808080)
@@ -98,16 +105,8 @@ def _line_count(raw, buf):
     return lines + (last not in (_LF, _CR))
 
 
-def _cut(buf, lo, at):
-    """The index just past the last line end in buf[lo:at], or lo."""
-    while at > lo:
-        start = max(lo, at - 4096)
-        window = buf[start:at]
-        ends = np.flatnonzero((window == _LF) | (window == _CR))
-        if ends.size:
-            return start + int(ends[-1]) + 1
-        at = start
-    return lo
+class _Declined(Exception):
+    """A chunk holds what the scanner does not take."""
 
 
 def read_rows(raw, n_cols, chunk, workers):
@@ -117,45 +116,58 @@ def read_rows(raw, n_cols, chunk, workers):
 
     A first pass counts the lines, so the matrix is allocated once with a
     row per line; '#' and blank lines give none, and the columns move up at
-    the end if any were seen. Then rounds of up to workers * chunk bytes,
-    cut at line ends, are parsed by up to workers threads (binning._run), and
-    the calling thread copies each chunk's rows into place.
+    the end if any were seen. Then each chunk bytes of the file are an item
+    of binning._in_order on workers workers. An item's make reads the lines
+    that start after the first line end at or past its start, up to the
+    first line end at or past the next item's start, into its worker's
+    buffer, and parses them; its take puts their rows in place, or declines
+    the file. The workers share raw through a lock around each seek and
+    read.
     """
-    buf = np.empty(workers * chunk + _PAD, dtype=np.uint8)
+    buffers = [np.empty(chunk + _WINDOW + _PAD, dtype=np.uint8) for _ in range(workers)]
     start = raw.tell()
-    n_max = _line_count(raw, buf[:-_PAD])
-    if n_max < 2:
-        return None
-    raw.seek(start)
+    n_max = _line_count(raw, buffers[0][:-_PAD])
+    end = raw.tell()
     out = np.empty((n_max, n_cols), order="F")
-    rows = held = 0
-    while True:
-        room = len(buf) - _PAD
-        got = raw.readinto(memoryview(buf)[held:room])
-        end = held + got
-        last = end < room
-        if last and end and buf[end - 1] not in (_LF, _CR):
-            buf[end] = _LF
-            end += 1
-        cut = end if last else _cut(buf, 0, end)
-        if cut == 0 and not last:
-            # one line fills the buffer: make it twice as long
-            buf = np.concatenate([buf[:end], np.empty(len(buf), dtype=np.uint8)])
-            held = end
-            continue
-        words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
-        bounds = [0]
-        for piece in _chunks(range(cut), workers)[1:]:
-            bounds.append(_cut(buf, bounds[-1], piece.start))
-        for values in _run(lambda lo, hi: _rows(buf, words, lo, hi, n_cols), bounds, bounds[1:] + [cut]):
-            if values is None or rows + len(values) > n_max:
-                return None
-            out[rows:rows + len(values)] = values
-            rows += len(values)
-        if last:
-            break
-        held = end - cut
-        buf[:held] = buf[cut:end]
+    rows = 0
+    lock = threading.Lock()
+
+    def read(at, buf):
+        with lock:
+            raw.seek(at)
+            return raw.readinto(buf)
+
+    def past_line_end(at, buf):
+        """The offset just past the file's first line end at or past at, or
+        end."""
+        while at < end and (got := read(at, buf[:_WINDOW])):
+            if found := _LINE_END.search(buf, 0, got):
+                return at + found.end()
+            at += got
+        return end
+
+    def make(lo, buffer):
+        begin = past_line_end(lo, buffer) if lo > start else start
+        size = past_line_end(lo + chunk, buffer) - begin
+        # a line longer than the buffer has room for gets one of its own
+        buf = buffer if len(buffer) >= size + _PAD else np.empty(size + _PAD, dtype=np.uint8)
+        size = read(begin, buf[:size])
+        if size and buf[size - 1] not in (_LF, _CR):
+            buf[size] = _LF
+            size += 1
+        return _rows(buf, size, n_cols)
+
+    def take(lo, values):
+        nonlocal rows
+        if values is None or rows + len(values) > n_max:
+            raise _Declined
+        out[rows:rows + len(values)] = values
+        rows += len(values)
+
+    try:
+        _in_order(make, take, range(start, end, chunk), buffers)
+    except _Declined:
+        return None
     if rows < 2:
         return None
     if rows < n_max:
@@ -185,20 +197,19 @@ def _blank_comments(buf, lo, hi):
     return True
 
 
-def _rows(buf, words, lo, hi, n_cols):
-    """The rows of the whole lines buf[lo:hi] as a (rows, n_cols) float
-    matrix, or None. words is buf as overlapping 8-byte words."""
-    b = buf[lo:hi]
-    if (b == _HASH).any() and not _blank_comments(buf, lo, hi):
+def _rows(buf, size, n_cols):
+    """The rows of the whole lines buf[:size] as a (rows, n_cols) float
+    matrix, or None; buf holds _PAD bytes more."""
+    b = buf[:size]
+    if (b == _HASH).any() and not _blank_comments(buf, 0, size):
         return None
     cell_end = b == _COMMA
     cell_end |= b == _LF
     cell_end |= b == _CR
     ends = np.flatnonzero(cell_end)
     del cell_end
-    ends += lo
     starts = np.empty_like(ends)
-    starts[:1] = lo
+    starts[:1] = 0
     starts[1:] = ends[:-1] + 1
     at_line_end = buf[ends] != _COMMA
     # an empty cell that is a whole line is a blank line; "\r\n" gives one
@@ -214,7 +225,7 @@ def _rows(buf, words, lo, hi, n_cols):
     if rows == 0:
         return np.empty((0, n_cols))
     _trim(buf, starts, ends)
-    values = _values(buf, words, starts, ends)
+    values = _values(buf, starts, ends)
     return None if values is None else values.reshape(rows, n_cols)
 
 
@@ -289,9 +300,11 @@ def _digits(words, q, m, big):
             return count
 
 
-def _values(buf, words, starts, ends):
+def _values(buf, starts, ends):
     """The value of each cell buf[starts[i]:ends[i]] (trimmed), or None if
     one does not read as a finite number."""
+    # buf as overlapping 8-byte words
+    words = np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
     q = starts.copy()
     c = buf[q]
     negative = c == _MINUS

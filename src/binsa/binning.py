@@ -146,6 +146,49 @@ def _run(work, chunks, scratch):
     return results
 
 
+def _in_order(make, take, items, buffers):
+    """make(items[i], buffers[w]) on worker w, for every i dealt to it in
+    turn (i = w, w + W, w + 2W, ... for W workers), then take(items[i],
+    made) for every i in item order. The dataset writer formats a block of
+    rows in its make and writes it in its take, and the reader parses a
+    chunk of lines in its make and puts its rows in place in its take; so
+    the file and the matrix are the same for any number of workers.
+
+    A worker makes its next item while another takes, and each worker
+    makes into its own buffer, reused from item to item. The workers are
+    _run's: the calling thread runs the last, and a thread started and
+    joined here runs each other one, so with one buffer no thread starts.
+    After a make or a take raises, no later item is taken, and the first
+    failed item's error is raised once every worker has stopped.
+    """
+    turn = threading.Condition()
+    taken, errors = 0, {}
+
+    def work(dealt, buffer):
+        nonlocal taken
+        for i in dealt:
+            try:
+                made = make(items[i], buffer)
+                with turn:
+                    turn.wait_for(lambda: taken == i or min(errors, default=i) < i)
+                if taken != i:  # an item before it failed
+                    return
+                take(items[i], made)
+                del made  # freed before this worker's next make
+            except BaseException as exc:
+                with turn:
+                    errors[i] = exc
+                    turn.notify_all()
+                return
+            with turn:
+                taken += 1
+                turn.notify_all()
+
+    _run(work, [range(w, len(items), len(buffers)) for w in range(len(buffers))], buffers)
+    if errors:
+        raise errors[min(errors)]
+
+
 def _conditional_variance_ratio(cell_idx, n_cells, y, var_y):
     """V_w(E[Y | cell]) / Var(Y), and the rows per cell.
 
@@ -176,6 +219,10 @@ def analyze(dataset, config=None):
     Numeric bins are equal-width over the column's observed [min, max],
     rightmost inclusive; a categorical input with L levels is cut into L
     equal-width cells over [0, L), one per level, at both resolutions.
+    The sorted output is scaled by a power of two before its variance, which
+    changes no index's bits: y * 2**k gives y's indices for any k that
+    leaves y normal. report.var_y is the variance scaled back, inf past the
+    largest double and 0.0 or subnormal below the smallest normal one.
     Constant input columns are assigned index 0 instead of failing the
     analysis. First-order bins, and a pair grid, with fewer than 5 rows per
     cell on average are kept: one note covers the binned numeric inputs'
@@ -202,6 +249,11 @@ def analyze(dataset, config=None):
     n, k = dataset.n_rows, dataset.n_inputs
     order = np.argsort(dataset.output)
     y = dataset.output[order]
+    # y times 2**shift, its largest magnitude in [0.5, 1): the scaling is
+    # exact, so every ratio has the bits it has on y, and the variance
+    # neither overflows nor goes subnormal at any scale of the output.
+    shift = -math.frexp(max(-y[0], y[-1]))[1]
+    np.ldexp(y, shift, out=y)
     # The plain sum of the sorted output is stable_mean's to the bit: the two
     # sorts differ at most in where +0.0 and -0.0 fall (see stable_sum).
     var_y = stable_variance(y, mean=np.sum(y) / n)
@@ -306,6 +358,9 @@ def analyze(dataset, config=None):
               for name, b in zip(names, binned) if not b]
     for note in notes:
         warnings.warn(note, stacklevel=2)
+    with np.errstate(over="ignore"):
+        # inf past the largest double; 0.0 or subnormal below the smallest
+        var_y = float(np.ldexp(var_y, -2 * shift))
     return SensitivityReport(
         names=dataset.names,
         first_order=first,

@@ -14,13 +14,12 @@ import math
 import os
 import re
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import Model, default_specs, get_model
-from .binning import BinningConfig, _run, _workers, conservation_check
+from .binning import BinningConfig, _in_order, _workers, conservation_check
 from .core import Dataset, InputSpec, MarginalDistribution, column_major
 from .sampling import MAX_SOBOL_POINTS, DependencePlan, SamplingPlan
 from .simdec import _HUES, State, StateDefinition, _state_of
@@ -87,14 +86,10 @@ def write_dataset_csv(path, dataset, metadata=None):
     each slot's mask keeps are written out, so no cell becomes a Python
     string.
 
-    The blocks are dealt out in turn to binning._workers(blocks) workers:
-    the calling thread is one, and a thread started and joined here runs
-    each other. A worker formats its next block while others write, and
-    writes it once the block before it is written, so the file's bytes do
-    not depend on the number of workers. Each worker's values and byte
-    matrices are allocated once per write and refilled for each block. If
-    a block fails, no block after it is written, and the error of the
-    first block that failed surfaces after every worker has stopped.
+    The blocks are formatted and written in order by binning._in_order, on
+    binning._workers(blocks) workers, each with values and byte matrices
+    allocated once per write. If a block fails, no block after it is
+    written, and the first failed block's error surfaces.
     """
     # imported here, not with binsa: compiling the formatter is most of its
     # import time, and only a dataset write needs it
@@ -109,7 +104,6 @@ def write_dataset_csv(path, dataset, metadata=None):
     slot = max([_repr.WIDTH] + [chars.shape[1] for chars, _ in labels.values()])
     head = table_csv([], metadata) + ",".join(map(_csv_cell, [*dataset.names, "output"])) + "\n"
     blocks = range(0, n, _ROWS_PER_WRITE)
-    workers = _workers(len(blocks))
     block_rows = min(_ROWS_PER_WRITE, n)
 
     def allocate():
@@ -119,10 +113,11 @@ def write_dataset_csv(path, dataset, metadata=None):
         chars[k - 1::k, slot] = ord("\n")
         return np.empty((block_rows, k)), chars, keep
 
-    def pieces(start, values, chars, keep):
+    def pieces(start, buffers):
         """The bytes of the block at row start, formatted in one worker's
         buffers, as two arrays: np.compress builds an index of 8 bytes per
         byte it keeps, so each half of the block bounds that index."""
+        values, chars, keep = buffers
         rows = min(_ROWS_PER_WRITE, n - start)
         values = values[:rows]
         values[:, :-1] = dataset.inputs[start:start + rows]
@@ -140,38 +135,13 @@ def write_dataset_csv(path, dataset, metadata=None):
         keep, chars, half = keep.ravel(), chars.ravel(), rows // 2 * k * (slot + 1)
         return np.compress(keep[:half], chars[:half]), np.compress(keep[half:], chars[half:])
 
-    # blocks are named by their first row: written is the next one to write,
-    # failed the first that raised (n while none has)
-    turn = threading.Condition()
-    written, failed, errors = 0, n, {}
-
-    def work(starts, buffers):
-        nonlocal written, failed
-        for start in starts:
-            try:
-                data = pieces(start, *buffers)
-                with turn:
-                    turn.wait_for(lambda: written == start or failed < start)
-                    if failed < start:
-                        return
-                for piece in data:
-                    fh.write(piece)
-                del data  # freed before the worker's next block is formatted
-                with turn:
-                    written += _ROWS_PER_WRITE
-                    turn.notify_all()
-            except BaseException as exc:
-                with turn:
-                    errors[start] = exc
-                    failed = min(failed, start)
-                    turn.notify_all()
-                return
+    def write(start, data):
+        for piece in data:
+            fh.write(piece)
 
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        _run(work, [blocks[w::workers] for w in range(workers)], [allocate() for _ in range(workers)])
-    if errors:
-        raise errors[failed]
+        _in_order(pieces, write, blocks, [allocate() for _ in range(_workers(len(blocks)))])
 
 
 def _bulk_rows(fh, n_cols):
@@ -184,12 +154,12 @@ def _bulk_rows(fh, n_cols):
     byte that is not ASCII outside a '#' line): _checked_rows alone decides
     what is accepted and words every error.
 
-    The file is read in rounds of one chunk per worker. A round holds a
-    sixteenth of the rest of the file, at least _SCAN_BYTES: the parser's
-    working set is about six times the bytes in flight, so with cells of
+    The file is read in chunks, one in flight per worker. The bytes in
+    flight are a sixteenth of the rest of the file, at least _SCAN_BYTES:
+    the parser's working set is about six times them, so with cells of
     about 20 bytes the read peaks near 2.1 times the parsed matrix however
-    many CPUs there are. It is split between binning._workers(in_flight //
-    _SCAN_BYTES) workers, so no chunk is shorter than _SCAN_BYTES (two
+    many CPUs there are. They are split between binning._workers(in_flight
+    // _SCAN_BYTES) workers, so no chunk is shorter than _SCAN_BYTES (two
     threads on short chunks are slower than one), and no chunk is longer
     than 16 * _SCAN_BYTES.
     """
@@ -291,6 +261,10 @@ def _read_dataset_csv(path, specs):
             reader = csv.reader("\n" if ln.startswith("#") else ln for ln in fh)
             next(filter(None, reader))
             data = _checked_rows(path, reader, header, level_maps)
+    promised = _promised_rows(head)
+    if promised not in (None, len(data)):
+        raise UserInputError(f"{path}: {len(data)} data rows, but its '# meta' line promises "
+                             f"{promised}")
     inputs, output = data[:, :-1], data[:, -1]
     if output.min() == output.max():
         raise UserInputError(
@@ -312,6 +286,23 @@ def _read_dataset_csv(path, specs):
             specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
         specs = tuple(specs)
     return Dataset(inputs=inputs, output=output, specs=specs)
+
+
+def _promised_rows(head):
+    """The rows that a '# meta' line among the lines head promises: its n,
+    where it names binsa as its tool and MC or QMC as its sampler, whose n
+    is the row count; None for any other file. (FFD's n is a budget: it
+    draws the largest full factorial design within it.)"""
+    for line in head:
+        if line.startswith("# meta "):
+            try:
+                meta = json.loads(line[len("# meta "):])
+            except ValueError:
+                continue
+            if (isinstance(meta, dict) and meta.get("tool") == "binsa"
+                    and meta.get("sampler") in ("MC", "QMC")):
+                return meta.get("n")
+    return None
 
 
 def _checked_rows(path, reader, header, level_maps):
@@ -361,13 +352,15 @@ def named_indices(report):
 
 
 def report_to_dict(report, metadata=None):
+    """report.json's object. JSON has no infinity: a var_y past the largest
+    double (an output near 1e154 or beyond) is None, written as null."""
     first, second = named_indices(report)
     return {
         "schema_version": SCHEMA_VERSION,
         "first_order": first,
         "second_order": second,
         "combined": dict(zip(report.names, report.combined.tolist())),
-        "var_y": report.var_y,
+        "var_y": report.var_y if math.isfinite(report.var_y) else None,
         "n_bins_first": report.n_bins_first,
         "n_bins_second_per_dim": report.n_bins_second_per_dim,
         "conservation_sum": conservation_check(report),

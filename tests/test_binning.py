@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 import os
 import signal
 import subprocess
@@ -28,6 +30,7 @@ import binsa
 from binsa import binning
 from binsa.binning import bin_count_first, bin_count_second_per_dim
 from binsa.core import stable_mean, stable_variance
+from binsa.io import report_to_dict
 from test_core import _tied_signed_zero_vector
 from test_golden import CASES
 
@@ -662,6 +665,85 @@ def test_run_raises_the_first_chunks_error_after_every_thread_has_stopped():
     workers = [t for t in threads if t is not threading.current_thread()]
     assert len(workers) == 3 and not any(t.is_alive() for t in workers)
     assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("stage", ["make", "take"])
+@pytest.mark.parametrize("workers", [3, 12])
+def test_in_order_takes_items_in_order_and_raises_the_first_failed_items_error(
+    monkeypatch, stage, workers
+):
+    # nine items on 3 workers, each making three in turn, or on 12, more
+    # than the items and than the CPUs, with the interpreter switching
+    # threads as often as it can. Item 6's make fails first in time, then
+    # item 4's make or take fails: item 4's error surfaces, items 0 to 3
+    # alone are taken, in order, and every thread has stopped.
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            item_6_failed, taken, raised = threading.Event(), [], []
+            buffers = [[] for _ in range(workers)]
+
+            def make(item, buffer):
+                buffer.append(item)
+                if item == 6:
+                    item_6_failed.set()
+                    raise ValueError("item 6")
+                if item == 4:
+                    assert item_6_failed.wait(60)
+                    if stage == "make":
+                        raise ValueError("item 4")
+                return -item
+
+            def take(item, made):
+                assert made == -item
+                if stage == "take" and item == 4:
+                    raise ValueError("item 4")
+                taken.append(item)
+
+            def run():
+                try:
+                    binning._in_order(make, take, range(9), buffers)
+                except ValueError as exc:
+                    raised.append(str(exc))
+
+            del started[:]
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(60)
+            for thread in started:
+                thread.join(60)
+                assert not thread.is_alive()
+            assert len(started) == 1 + workers - 1
+            assert raised == ["item 4"] and taken == [0, 1, 2, 3]
+            for w, made in enumerate(buffers):
+                assert made == list(range(w, 9, workers))[:len(made)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("k", [-560, -530, 530])
+def test_an_output_scaled_by_a_power_of_two_has_the_same_indices(k):
+    # the output's variance at 2**-560 is below the smallest subnormal, at
+    # 2**-530 subnormal and at 2**530 past the largest double: var_y is that
+    # variance rounded to a double, and report.json holds null for inf
+    m = get_model("ishigami")
+    specs = default_specs(m)
+    x = sample_inputs(SamplingPlan(method="QMC", n=10_000, seed=1), specs)
+    y = evaluate(m, x)
+    base = analyze(Dataset(inputs=x, output=y, specs=specs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = analyze(Dataset(inputs=x, output=np.ldexp(y, k), specs=specs))
+    for field in ("first_order", "second_order", "combined"):
+        assert getattr(scaled, field).tobytes() == getattr(base, field).tobytes(), field
+    assert scaled.var_y == (math.ldexp(base.var_y, 2 * k) if k < 0 else math.inf)
+    assert (scaled.var_y == 0.0) == (k == -560)
+    report = json.loads(json.dumps(report_to_dict(scaled), allow_nan=False))
+    assert report["var_y"] == (scaled.var_y if k < 0 else None)
 
 
 @pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])

@@ -269,11 +269,12 @@ def test_dataset_write_starts_no_thread_on_one_cpu_and_one_fewer_than_its_worker
 def test_dataset_read_starts_no_thread_on_one_cpu_or_a_short_file_and_at_most_seven_at_once(
     tmp_path,
 ):
-    # _SCAN_BYTES is patched to 1 KiB and each row is 27 bytes. A round is a
-    # sixteenth of the data, so 1213 rows, just under 32 scan lengths (2 MiB
-    # at 64 KiB), give rounds shorter than two scan lengths: one worker and
-    # no thread; 1214 rows are just over. Each round starts its threads in
-    # turn and then joins them, so a round is a run of starts between joins
+    # _SCAN_BYTES is patched to 1 KiB and each row is 27 bytes. The bytes in
+    # flight are a sixteenth of the data, so 1213 rows, just under 32 scan
+    # lengths (2 MiB at 64 KiB), put less than two scan lengths in flight:
+    # one worker and no thread; 1214 rows are just over. A read starts its
+    # threads in turn and then joins them, so a run of starts between joins
+    # is the threads of one read
     src = os.path.dirname(os.path.dirname(binsa.__file__))
     code = (
         "import sys, threading\n"
@@ -386,6 +387,18 @@ def test_read_csv_empty_and_tiny_rejected(tmp_path):
     with pytest.raises(UserInputError,
                        match="need at least one input column and one output column"):
         read_dataset_csv(p)
+    # a binsa MC or QMC sample's '# meta' line promises its n rows; an FFD
+    # sample's n is a budget, and another tool's line promises nothing
+    rows = "a,output\n1,2\n3,4\n\n# note\n5,6\n"
+    for sampler in ("MC", "QMC"):
+        p.write_text(f'# meta {{"n": 4, "sampler": "{sampler}", "tool": "binsa"}}\n' + rows)
+        with pytest.raises(UserInputError) as caught:
+            read_dataset_csv(p)
+        assert str(caught.value) == f"{p}: 3 data rows, but its '# meta' line promises 4"
+    for meta in ('{"n": 4, "sampler": "FFD", "tool": "binsa"}',
+                 '{"n": 4, "sampler": "QMC", "tool": "other"}', "{not json"):
+        p.write_text(f"# meta {meta}\n" + rows)
+        assert read_dataset_csv(p).n_rows == 3
 
 
 def _read_both_ways(path, monkeypatch, read=read_dataset_csv):
@@ -558,15 +571,27 @@ def test_bulk_read_is_bitwise_float_of_each_cell(tmp_path_factory, long_double, 
 
 
 def test_bulk_read_is_the_same_for_any_chunk_size_and_worker_count(tmp_path):
-    # rows straddle the cuts between chunks, and between rounds; a '#' line,
-    # a blank line and "\r\n" ends fall on some cuts; the shortest chunks
-    # hold less than one line, so the buffer grows. Three workers on a short
-    # switch interval interleave as much as they can.
+    # rows straddle the cuts between chunks; a '#' line, a blank line,
+    # "\r\n" ends and lone "\r" ends fall on some cuts; the shortest chunks
+    # hold less than one line, and one line, ended by a lone "\r" on a cut
+    # of the 4096-byte chunks, is longer than three of them, so a chunk
+    # reads past its worker's buffer; the last line has no line end. Three
+    # workers on a short switch interval interleave as much as they can.
     x = np.random.default_rng(3).normal(size=(600, 3)) * 10.0 ** np.arange(-5, 10, 5)
-    lines = [",".join(map(repr, row)) + "\r\n" for row in x.tolist()]
+    lines = [",".join(map(repr, row)) + ("\r" if i % 3 else "\r\n") for i, row in enumerate(x.tolist())]
+    x[10, 0] = 1.5
+    rest = lines[10][lines[10].index(","):]
+    lines[10] = "1.5".ljust(4 * 4096 + 1 - len("".join(lines[:10])) - len(rest), "0") + rest
     lines[300:300] = ["# note, with a comma\r\n", "\r\n"]
+    lines[-1] = lines[-1].rstrip()
+    data = "".join(lines).encode()
+    lone_cr_cuts = {chunk: [at for at in range(chunk, len(data), chunk)
+                            if data[at] == ord("\r") and data[at + 1] != ord("\n")]
+                    for chunk in (13, 100, 4096)}
+    assert len(lines[10]) > 3 * 4096 and 4 * 4096 in lone_cr_cuts[4096]
+    assert all(lone_cr_cuts.values()), lone_cr_cuts
     p = tmp_path / "d.csv"
-    p.write_text("".join(lines), newline="")
+    p.write_bytes(data)
     want = x.tobytes(order="F")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
