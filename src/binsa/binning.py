@@ -121,54 +121,34 @@ def _chunks(items, n_chunks):
     return [items[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
-def _run(work, chunks, scratch):
-    """[work(chunks[c], scratch[c]) for every c]: the last chunk in the
-    calling thread, each other chunk on a thread of its own, started and
-    joined here. Waits for every chunk before it raises the first chunk's
-    error, so which error surfaces does not depend on timing."""
-    results, errors = [None] * len(chunks), [None] * len(chunks)
-
-    def run(c):
-        try:
-            results[c] = work(chunks[c], scratch[c])
-        except BaseException as exc:
-            errors[c] = exc
-
-    threads = [threading.Thread(target=run, args=(c,)) for c in range(len(chunks) - 1)]
-    for thread in threads:
-        thread.start()
-    run(len(chunks) - 1)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def _in_order(make, take, items, buffers):
     """make(items[i], buffers[w]) on worker w, for every i dealt to it in
     turn (i = w, w + W, w + 2W, ... for W workers), then take(items[i],
-    made) for every i in item order. The dataset writer formats a block of
-    rows in its make and writes it in its take, and the reader parses a
-    chunk of lines in its make and puts its rows in place in its take; so
-    the file and the matrix are the same for any number of workers.
+    made) for every i in item order. It is the one way a stage runs work on
+    threads: analyze makes each run of columns' codes, and then each run of
+    subsets' closed indices, which its take merges; sweep_dependence makes a
+    grid value's correlations beside its report; the dataset writer formats
+    a block of rows in its make and writes it in its take; and the reader
+    parses a chunk of lines in its make and puts its rows in place in its
+    take. So the results are the same for any number of workers.
 
-    A worker makes its next item while another takes, and each worker
-    makes into its own buffer, reused from item to item. The workers are
-    _run's: the calling thread runs the last, and a thread started and
-    joined here runs each other one, so with one buffer no thread starts.
-    After a make or a take raises, no later item is taken, and the first
-    failed item's error is raised once every worker has stopped.
+    There is one worker per buffer, and no more workers than items. A
+    worker makes its next item while another takes, and each worker makes
+    into its own buffer, reused from item to item. The calling thread runs
+    the last worker, and a thread started and joined here runs each other
+    one, so with one worker no thread starts. After a make or a take
+    raises, no later item is taken, and the first failed item's error is
+    raised once every worker has stopped.
     """
+    workers = max(1, min(len(buffers), len(items)))
     turn = threading.Condition()
     taken, errors = 0, {}
 
-    def work(dealt, buffer):
+    def work(w):
         nonlocal taken
-        for i in dealt:
+        for i in range(w, len(items), workers):
             try:
-                made = make(items[i], buffer)
+                made = make(items[i], buffers[w])
                 with turn:
                     turn.wait_for(lambda: taken == i or min(errors, default=i) < i)
                 if taken != i:  # an item before it failed
@@ -184,7 +164,12 @@ def _in_order(make, take, items, buffers):
                 taken += 1
                 turn.notify_all()
 
-    _run(work, [range(w, len(items), len(buffers)) for w in range(len(buffers))], buffers)
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work(workers - 1)
+    for thread in threads:
+        thread.join()
     if errors:
         raise errors[min(errors)]
 
@@ -237,13 +222,13 @@ def analyze(dataset, config=None):
     has no bin geometry: a ValueError names it.
 
     The columns, and then the subsets, are split into contiguous runs, one
-    per worker, _workers(pairs) of them. The calling thread runs the
-    last run, and a thread started for the call runs each other run; the
-    call joins them all before it returns, so no thread outlives it. With
-    one worker (two inputs, or one CPU) no thread starts. There is no
-    setting: every index comes from the same numpy calls on the same arrays
-    however the work is split, so the report is bitwise identical for any
-    number of workers.
+    per worker, _workers(pairs) of them, and each split is one _in_order
+    call with one run per item: the calling thread runs the last run, and
+    a thread started for the call runs each other run; the call joins them
+    all before it returns, so no thread outlives it. With one worker (two
+    inputs, or one CPU) no thread starts. There is no setting: every index
+    comes from the same numpy calls on the same arrays however the work is
+    split, so the report is bitwise identical for any number of workers.
     """
     config = config or BinningConfig()
     n, k = dataset.n_rows, dataset.n_inputs
@@ -303,7 +288,7 @@ def analyze(dataset, config=None):
                 np.minimum(codes[r, i], cells[r][i] - 1, out=codes[r, i])
             binned[i] = True
 
-    _run(bin_columns, _chunks(range(k), workers), scratch)
+    _in_order(bin_columns, lambda *_: None, _chunks(range(k), workers), scratch)
     inputs = np.flatnonzero(binned).tolist()
     pairs = list(itertools.combinations(inputs, 2))
     # (r, i): input i at resolution r; (1, i, j): the pair (i, j) at m. Each
@@ -312,16 +297,13 @@ def analyze(dataset, config=None):
     # so only (1, i) is listed for it.
     subsets = [s for i in inputs for s in [(0, i)] * (cells[0][i] != cells[1][i]) + [(1, i)]
                + [(1, i, j) for j in inputs if j > i]]
-    closed = {}
-    # fullest[i]: the rows in input i's fullest first-order bin
-    fullest = {}
 
     def closed_ratios(chunk, buf):
         # Joint cell of a subset: c_i * n_j + c_j for a pair, c_i for one input,
         # the codes widened to int64. The scaled c_i * n_j is formed once per
         # (r, i, n_j) and shared by the next subsets in the run that have it.
         scaled, joint = buf[0].view(np.int64), buf[1]
-        formed = None
+        formed, ratios, fullest = None, {}, {}
         for subset in chunk:
             r, i, *j = subset
             nj = cells[r][j[0]] if j else 1
@@ -331,11 +313,16 @@ def analyze(dataset, config=None):
                     scaled *= nj
                 formed = (r, i, nj)
             cell = np.add(scaled, codes[r, j[0]], out=joint) if j else scaled
-            closed[subset], counts = _conditional_variance_ratio(cell, cells[r][i] * nj, y, var_y)
+            ratios[subset], counts = _conditional_variance_ratio(cell, cells[r][i] * nj, y, var_y)
             if not j and cells[r][i] == cells[0][i]:
                 fullest[i] = int(counts.max())
+        return ratios, fullest
 
-    _run(closed_ratios, _chunks(subsets, workers), scratch)
+    # closed[subset]: its closed index; fullest[i]: the rows in input i's
+    # fullest first-order bin
+    closed, fullest = {}, {}
+    _in_order(closed_ratios, lambda _, made: (closed.update(made[0]), fullest.update(made[1])),
+              _chunks(subsets, workers), scratch)
     first, second = np.zeros(k), np.zeros((k, k))
     for i in inputs:
         first[i] = closed.get((0, i), closed[1, i])

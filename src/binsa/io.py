@@ -291,8 +291,9 @@ def _read_dataset_csv(path, specs):
 def _promised_rows(head):
     """The rows that a '# meta' line among the lines head promises: its n,
     where it names binsa as its tool and MC or QMC as its sampler, whose n
-    is the row count; None for any other file. (FFD's n is a budget: it
-    draws the largest full factorial design within it.)"""
+    is the row count, and n is a whole number (an int, or a float with no
+    fraction part, not a bool); None for any other file. (FFD's n is a
+    budget: it draws the largest full factorial design within it.)"""
     for line in head:
         if line.startswith("# meta "):
             try:
@@ -301,7 +302,9 @@ def _promised_rows(head):
                 continue
             if (isinstance(meta, dict) and meta.get("tool") == "binsa"
                     and meta.get("sampler") in ("MC", "QMC")):
-                return meta.get("n")
+                n = meta.get("n")
+                if type(n) is int or (type(n) is float and n.is_integer()):
+                    return int(n)
     return None
 
 

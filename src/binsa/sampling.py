@@ -18,7 +18,7 @@ import numpy as np
 
 from ._normal import BLOCK_ROWS, _blocked, ndtr, ndtri
 from .benchmarks import evaluate
-from .binning import _chunks, _run, _workers, analyze
+from .binning import _in_order, _workers, analyze
 from .core import Dataset, _centred, _correlation, _mid_ranks
 
 __all__ = [
@@ -420,11 +420,12 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
     values and mid-ranks, is computed once for the grid. Each value then
     computes only column 1, its ranks, the output and the report.
 
-    Where this process may use two or more CPUs, each value's two
-    correlations run on a thread started and joined within that value,
-    beside its report in the calling thread; with one CPU no thread starts.
-    The results are the same bits either way, and an error of the
-    correlations surfaces before one of the report.
+    Each value's two correlations and its report are the two items of one
+    binning._in_order call, on _workers(2) workers. Where this process may
+    use two or more CPUs, the correlations run on a thread started and
+    joined within that value, beside the report in the calling thread;
+    with one CPU no thread starts. The results are the same bits either
+    way, and an error of the correlations surfaces before one of the report.
     """
     design = sample_inputs(plan, specs)
     a = design[:, 0]
@@ -454,11 +455,10 @@ def sweep_dependence(model, specs, plan, grid, binning=None):
                 return None
             return analyze(Dataset(inputs=matrix, output=output, specs=specs), binning)
 
-        # _run gives its last chunk to the calling thread, and raises the
-        # first chunk's error
-        chunks = _chunks([correlations, analysis], _workers(2))
-        results = _run(lambda parts, _: [part() for part in parts], chunks, chunks)
-        (r_pearson, r_spearman), report = [result for chunk in results for result in chunk]
+        results = []
+        _in_order(lambda part, _: part(), lambda _, made: results.append(made),
+                  [correlations, analysis], [None] * _workers(2))
+        (r_pearson, r_spearman), report = results
         return kind, value, r_pearson, r_spearman, report
 
     return [run(kind, value) for kind in ("copula", "equal_portion") for value in grid]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import colorsys
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,16 +183,23 @@ def decompose(dataset, state_definitions, n_output_bins=100):
 
     y = dataset.output
     ylo, yhi = float(y.min()), float(y.max())
+    # y times 2**shift, as analyze scales it, its largest magnitude in
+    # [0.5, 1): the scaling is exact, so the cuts and statistics are y's,
+    # and neither yhi - ylo nor a scenario's sum overflows at any scale
+    shift = -math.frexp(max(-ylo, yhi))[1]
+    y = np.ldexp(y, shift)
     if ylo == yhi:
         edges = np.array([ylo - 0.5, yhi + 0.5])
         n_output_bins = 1
+        ybin = np.zeros(n, dtype=np.int64)
     else:
-        edges = np.linspace(ylo, yhi, n_output_bins + 1)
-    ybin = np.clip(
-        np.floor((y - edges[0]) * (n_output_bins / (edges[-1] - edges[0]))).astype(np.int64),
-        0,
-        n_output_bins - 1,
-    )
+        cuts = np.linspace(math.ldexp(ylo, shift), math.ldexp(yhi, shift), n_output_bins + 1)
+        ybin = np.clip(
+            np.floor((y - cuts[0]) * (n_output_bins / (cuts[-1] - cuts[0]))).astype(np.int64),
+            0,
+            n_output_bins - 1,
+        )
+        edges = np.ldexp(cuts, -shift)
     stacked = np.bincount(scen_idx * n_output_bins + ybin, minlength=n_scen * n_output_bins)
     stacked = stacked.reshape(n_scen, n_output_bins)
 
@@ -210,7 +218,7 @@ def decompose(dataset, state_definitions, n_output_bins=100):
         c = int(counts[s])
         if c > 0:
             ys = y[order[bounds[s] : bounds[s + 1]]]
-            stats = (float(ys.min()), stable_mean(ys), float(ys.max()))
+            stats = tuple(math.ldexp(v, -shift) for v in (ys.min(), stable_mean(ys), ys.max()))
         else:
             stats = (None, None, None)
         scenarios.append(

@@ -493,9 +493,10 @@ def test_analyze_is_bitwise_equal_for_any_worker_count(monkeypatch, case):
     ds, config = _WORKER_CASES[case]()
     k = ds.n_inputs
     splits = []
-    run = binning._run
+    in_order = binning._in_order
     monkeypatch.setattr(
-        binning, "_run", lambda work, chunks, scratch: splits.append([len(c) for c in chunks]) or run(work, chunks, scratch)
+        binning, "_in_order",
+        lambda make, take, chunks, scratch: splits.append([len(c) for c in chunks]) or in_order(make, take, chunks, scratch)
     )
     reports = []
     for cpus in (1, 2, 4, 16):
@@ -619,49 +620,62 @@ def test_two_input_analyze_imports_no_executor_and_starts_no_thread():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_run_returns_each_chunks_result_in_order_with_the_last_on_the_calling_thread():
-    def work(chunk, scratch):
-        return chunk, scratch, threading.current_thread()
+def test_in_order_takes_in_item_order_with_the_last_worker_on_the_calling_thread():
+    taken = []
 
-    chunks, scratch = [[1, 2], [3], [4, 5, 6]], ["a", "b", "c"]
-    results = binning._run(work, chunks, scratch)
-    assert [(c, s) for c, s, _ in results] == list(zip(chunks, scratch))
-    threads = [t for _, _, t in results]
+    def make(item, buffer):
+        return item, buffer, threading.current_thread()
+
+    items, buffers = [[1, 2], [3], [4, 5, 6]], ["a", "b", "c"]
+    binning._in_order(make, lambda item, result: taken.append((item, result)), items, buffers)
+    assert [item for item, _ in taken] == items
+    assert [(i, b) for _, (i, b, _) in taken] == list(zip(items, buffers))
+    threads = [t for _, (_, _, t) in taken]
     assert threads[-1] is threading.current_thread()
     assert len({id(t) for t in threads}) == 3
     assert threading.active_count() == 1
 
 
-def test_run_on_one_chunk_starts_no_thread():
-    def work(chunk, scratch):
-        return threading.current_thread(), threading.active_count()
+@pytest.mark.parametrize("n_items, n_buffers", [(3, 1), (1, 4), (0, 2)])
+def test_in_order_on_one_buffer_or_one_item_starts_no_thread(monkeypatch, n_items, n_buffers):
+    # one worker per buffer, but no more workers than items: a single
+    # worker, the calling thread, makes and takes every item
+    started, taken = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+
+    def make(item, buffer):
+        return item, buffer, threading.current_thread(), threading.active_count()
 
     before = threading.active_count()
-    assert binning._run(work, [[1, 2, 3]], [None]) == [(threading.current_thread(), before)]
+    buffers = list(range(n_buffers))
+    binning._in_order(make, lambda _, result: taken.append(result), list(range(n_items)), buffers)
+    assert taken == [(i, 0, threading.current_thread(), before) for i in range(n_items)]
+    assert not started
 
 
-def test_run_raises_the_first_chunks_error_after_every_thread_has_stopped():
-    # chunk 1 fails first in time; chunk 0 fails once it has, and chunk 3
-    # still runs after both: chunk 0's error surfaces, and only once every
-    # thread has stopped
-    chunk_1_failed, threads, finished = threading.Event(), [], []
+def test_in_order_raises_the_first_failed_items_error_once_every_thread_stopped():
+    # item 1 fails first in time; item 0 fails once it has, and items 2 and
+    # 3 are still made after both: item 0's error surfaces, only once every
+    # thread has stopped, and no item is taken
+    item_1_failed, threads, finished, taken = threading.Event(), [], [], []
 
-    def work(chunk, scratch):
+    def make(item, buffer):
         threads.append(threading.current_thread())
-        if chunk == 1:
+        if item == 1:
             try:
-                raise ValueError("chunk 1")
+                raise ValueError("item 1")
             finally:
-                chunk_1_failed.set()
-        assert chunk_1_failed.wait(60)
+                item_1_failed.set()
+        assert item_1_failed.wait(60)
         time.sleep(0.05)
-        if chunk == 0:
-            raise ValueError("chunk 0")
-        finished.append(chunk)
+        if item == 0:
+            raise ValueError("item 0")
+        finished.append(item)
 
-    with pytest.raises(ValueError, match="^chunk 0$"):
-        binning._run(work, [0, 1, 2, 3], [None] * 4)
-    assert sorted(finished) == [2, 3]
+    with pytest.raises(ValueError, match="^item 0$"):
+        binning._in_order(make, lambda item, _: taken.append(item), [0, 1, 2, 3], [None] * 4)
+    assert sorted(finished) == [2, 3] and taken == []
     workers = [t for t in threads if t is not threading.current_thread()]
     assert len(workers) == 3 and not any(t.is_alive() for t in workers)
     assert threading.active_count() == 1
@@ -717,7 +731,9 @@ def test_in_order_takes_items_in_order_and_raises_the_first_failed_items_error(
             for thread in started:
                 thread.join(60)
                 assert not thread.is_alive()
-            assert len(started) == 1 + workers - 1
+            # the runner, and a thread for every worker but the runner's
+            # own: one worker per buffer, and no more workers than items
+            assert len(started) == 1 + min(workers, 9) - 1
             assert raised == ["item 4"] and taken == [0, 1, 2, 3]
             for w, made in enumerate(buffers):
                 assert made == list(range(w, 9, workers))[:len(made)]

@@ -387,16 +387,23 @@ def test_read_csv_empty_and_tiny_rejected(tmp_path):
     with pytest.raises(UserInputError,
                        match="need at least one input column and one output column"):
         read_dataset_csv(p)
-    # a binsa MC or QMC sample's '# meta' line promises its n rows; an FFD
-    # sample's n is a budget, and another tool's line promises nothing
+    # a binsa MC or QMC sample's '# meta' line promises its n rows when n is
+    # a whole number; an FFD sample's n is a budget, another tool's line
+    # promises nothing, and nor does an n that is a string, a bool or a
+    # fraction
     rows = "a,output\n1,2\n3,4\n\n# note\n5,6\n"
-    for sampler in ("MC", "QMC"):
-        p.write_text(f'# meta {{"n": 4, "sampler": "{sampler}", "tool": "binsa"}}\n' + rows)
+    for sampler, n in (("MC", "4"), ("QMC", "4"), ("MC", "4.0"), ("QMC", "4e0")):
+        p.write_text(f'# meta {{"n": {n}, "sampler": "{sampler}", "tool": "binsa"}}\n' + rows)
         with pytest.raises(UserInputError) as caught:
             read_dataset_csv(p)
         assert str(caught.value) == f"{p}: 3 data rows, but its '# meta' line promises 4"
     for meta in ('{"n": 4, "sampler": "FFD", "tool": "binsa"}',
-                 '{"n": 4, "sampler": "QMC", "tool": "other"}', "{not json"):
+                 '{"n": 4, "sampler": "QMC", "tool": "other"}', "{not json",
+                 '{"n": "4", "sampler": "MC", "tool": "binsa"}',
+                 '{"n": "3", "sampler": "MC", "tool": "binsa"}',
+                 '{"n": true, "sampler": "QMC", "tool": "binsa"}',
+                 '{"n": 3.5, "sampler": "MC", "tool": "binsa"}',
+                 '{"n": Infinity, "sampler": "MC", "tool": "binsa"}'):
         p.write_text(f"# meta {meta}\n" + rows)
         assert read_dataset_csv(p).n_rows == 3
 

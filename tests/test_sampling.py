@@ -356,6 +356,45 @@ def test_sample_inputs_is_column_major_and_a_dataset_keeps_it(method):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [3000, 4096])
+@pytest.mark.parametrize("method", ["MC", "QMC"])
+@pytest.mark.parametrize("model, dependence", [
+    ("ishigami", ()),
+    ("two_factor_additive", (DependencePlan("copula", (0, 1), rho=0.6),)),
+], ids=["independent", "copula"])
+def test_a_sample_of_2n_rows_extends_the_sample_of_n(model, dependence, method, n):
+    # an MC or QMC sample, with or without a copula, is a prefix of a larger
+    # one drawn with the same seed: rows n to 2n extend the first n, and an
+    # analysis of all 2n rows does not depend on which half came first
+    m = get_model(model)
+    specs = default_specs(m)
+    short = sample_inputs(SamplingPlan(method=method, n=n, seed=7), specs, dependence)
+    full = sample_inputs(SamplingPlan(method=method, n=2 * n, seed=7), specs, dependence)
+    assert full[:n].tobytes() == short.tobytes()
+    y = evaluate(m, full)
+    halves = np.roll(np.arange(2 * n), n)
+    base = analyze(Dataset(inputs=full, output=y, specs=specs))
+    swapped = analyze(Dataset(inputs=full[halves], output=y[halves], specs=specs))
+    for field in ("first_order", "second_order", "combined", "var_y"):
+        assert np.asarray(getattr(swapped, field)).tobytes() == np.asarray(getattr(base, field)).tobytes()
+
+
+def test_an_equal_portion_or_ffd_sample_does_not_extend():
+    # an equal-portion plan's rows depend on n through rng.choice(n, ...),
+    # and a full factorial design's grid on its budget
+    m = get_model("two_factor_additive")
+    specs = default_specs(m)
+    dep = (DependencePlan("equal_portion", (0, 1), fraction=0.5),)
+    for method in ("MC", "QMC"):
+        short = sample_inputs(SamplingPlan(method=method, n=4096, seed=7), specs, dep)
+        full = sample_inputs(SamplingPlan(method=method, n=8192, seed=7), specs, dep)
+        assert np.all(full[:4096] == short, axis=1).sum() == 2032
+    short = sample_inputs(SamplingPlan(method="FFD", n=1000, seed=7), specs)
+    full = sample_inputs(SamplingPlan(method="FFD", n=2000, seed=7), specs)
+    assert short.shape == (961, 2) and full.shape == (1936, 2)
+    assert not np.any(np.all(full[:961] == short, axis=1))
+
+
 def test_full_factorial_allocates_only_its_matrix():
     full_factorial(3, 1000)  # what numpy loads on a first call
     tracemalloc.start()

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -259,6 +262,51 @@ def test_decompose_constant_output_has_one_bin():
     assert deco.histogram_edges.tolist() == [2.0, 3.0]
     assert deco.stacked_counts.shape == (3, 1)
     assert deco.stacked_counts.sum() == ds.n_rows
+
+
+def test_decompose_an_output_wider_than_a_doubles_range():
+    # y spans +-1.7e308: y.max() - y.min() and a scenario's sum overflow a
+    # double, but the scaled output's do not
+    x = np.random.default_rng(5).random((2000, 2))
+    u = MarginalDistribution.uniform(0.0, 1.0)
+    y = (2 * x[:, 0] - 1) * 1.7e308 + x[:, 1] * 1e306
+    ds = Dataset(inputs=x, output=y, specs=(InputSpec("x0", u), InputSpec("x1", u)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = analyze(ds)
+        deco = decompose(ds, default_states(ds, select_inputs(rep)))
+    assert rep.first_order[0] > 0.99
+    edges = deco.histogram_edges
+    assert np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0)
+    assert (edges[0], edges[-1]) == (y.min(), y.max())
+    assert deco.stacked_counts.sum() == ds.n_rows
+    for sc in deco.scenarios:
+        assert sc.count > 0
+        assert all(math.isfinite(v) for v in (sc.y_min, sc.y_mean, sc.y_max))
+        assert sc.y_min <= sc.y_mean <= sc.y_max
+    assert deco.scenarios[0].y_mean < 0 < deco.scenarios[-1].y_mean
+
+
+@pytest.mark.parametrize("k", [-900, -1, 5, "top"])
+def test_decompose_of_an_output_scaled_by_a_power_of_two_is_scaled_bitwise(k):
+    # "top" puts the largest |y| in [2**1022, 2**1023), where a scenario's
+    # sum of unscaled outputs overflows
+    ds = _nested_dataset(n=2000)
+    y = ds.output
+    if k == "top":
+        k = 1023 - math.frexp(float(np.abs(y).max()))[1]
+    defs = default_states(ds, (0, 1))
+    base = decompose(ds, defs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled = decompose(Dataset(inputs=ds.inputs, output=np.ldexp(y, k), specs=ds.specs), defs)
+    assert scaled.histogram_edges.tobytes() == np.ldexp(base.histogram_edges, k).tobytes()
+    assert np.array_equal(scaled.stacked_counts, base.stacked_counts)
+    assert np.array_equal(scaled.row_scenarios, base.row_scenarios)
+    for a, b in zip(scaled.scenarios, base.scenarios):
+        assert a.count == b.count
+        for field in ("y_min", "y_mean", "y_max"):
+            assert getattr(a, field) == math.ldexp(getattr(b, field), k), field
 
 
 def test_assign_colors_structure():
