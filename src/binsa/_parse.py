@@ -1,13 +1,13 @@
 """The data rows of a dataset CSV, parsed by numpy passes, each value the
 double that float() gives for its cell.
 
-read_rows cuts the file into chunks at line ends. binning._in_order parses
-each on one of binning's workers, in that worker's own buffer, and puts its
-rows in place in file order; the threads start once per read. In a chunk,
-byte masks find the cells, a scanner walks every cell at once (sign,
-digits, point, digits, exponent), turning its digits into a uint64
-mantissa eight at a time with SWAR on unaligned 8-byte loads, and the
-mantissa m and the power of ten q are converted exactly:
+read_rows cuts the file into runs of whole lines as it counts the lines.
+binning._in_order parses each run on one of binning's workers, in that
+worker's own buffer, and puts its rows in place in file order; the threads
+start once per read. In a run, byte masks find the cells, a scanner walks
+every cell at once (sign, digits, point, digits, exponent), turning its
+digits into a uint64 mantissa eight at a time with SWAR on unaligned 8-byte
+loads, and the mantissa m and the power of ten q are converted exactly:
 
 - Clinger's fast path: m <= 2**53 and |q| <= 22 are both exact doubles, and
   one IEEE multiply or divide rounds their product correctly.
@@ -41,8 +41,8 @@ _LF, _CR, _HASH, _PLUS, _COMMA, _MINUS, _DOT, _E, _LOWER_E, _SPACE, _TAB = b"\n\
 # a last line that has none, may touch
 _PAD = 16
 _LINE_END = re.compile(rb"[\n\r]")
-# the bytes read at a time in search of a line end
-_WINDOW = 4096
+# room in a worker's buffer past a chunk for the rest of its last line
+_SLACK = 4096
 # Each byte of an 8-byte word, little-endian: byte 0 is the first character.
 _ONES = _U64(0x0101010101010101)
 _HIGH = _U64(0x8080808080808080)
@@ -87,11 +87,15 @@ if _LONG_DOUBLE:
     _HUGE_LD = np.longdouble(np.finfo(np.float64).max)
 
 
-def _line_count(raw, buf):
-    """Lines in the rest of the binary file raw, read through buf: "\\n",
-    "\\r\\n" and "\\r" each end one, and a last line with no end counts
-    too."""
+def _line_count(raw, buf, chunk):
+    """The lines in the rest of the binary file raw, read through buf, and
+    the offsets that cut it into runs of whole lines. "\\n", "\\r\\n" and
+    "\\r" each end a line, and a last line with no end counts too. The cuts
+    are the rest's start, then each just past the first line end at least
+    chunk bytes past the cut before it, then the rest's end."""
     lines, after_cr, last = 0, False, _LF
+    at = raw.tell()
+    cuts = [at]
     while got := raw.readinto(buf):
         b = buf[:got]
         lf = b == _LF
@@ -102,11 +106,16 @@ def _line_count(raw, buf):
             lines += int(np.count_nonzero(cr)) - int(np.count_nonzero(cr[:-1] & lf[1:]))
         lines -= after_cr and b[0] == _LF
         after_cr, last = b[-1] == _CR, b[-1]
-    return lines + (last not in (_LF, _CR))
+        while found := _LINE_END.search(buf, max(cuts[-1] + chunk - at, 0), got):
+            cuts.append(at + found.end())
+        at += got
+    if cuts[-1] < at:
+        cuts.append(at)
+    return lines + (last not in (_LF, _CR)), cuts
 
 
 class _Declined(Exception):
-    """A chunk holds what the scanner does not take."""
+    """A run holds what the scanner does not take."""
 
 
 def read_rows(raw, n_cols, chunk, workers):
@@ -114,50 +123,43 @@ def read_rows(raw, n_cols, chunk, workers):
     (rows, n_cols) float matrix; None for anything the scanner does not take,
     a non-finite value, or fewer than 2 rows.
 
-    A first pass counts the lines, so the matrix is allocated once with a
-    row per line; '#' and blank lines give none, and the columns move up at
-    the end if any were seen. Then each chunk bytes of the file are an item
-    of binning._in_order on workers workers. An item's make reads the lines
-    that start after the first line end at or past its start, up to the
-    first line end at or past the next item's start, into its worker's
-    buffer, and parses them; its take puts their rows in place, or declines
-    the file. The workers share raw through a lock around each seek and
-    read.
+    One pass counts the lines and cuts the file into runs of whole lines,
+    each about chunk bytes (see _line_count), so the matrix is allocated
+    once with a row per line; '#' and blank lines give none, and the
+    columns move up at the end if any were seen. The runs are the items of
+    binning._in_order on workers workers. A run's make reads it into its
+    worker's buffer with one seek and readinto, under a lock that the
+    workers share, and parses it; its take puts its rows in place, or
+    declines the file. So each byte is read twice, once by each pass.
     """
-    buffers = [np.empty(chunk + _WINDOW + _PAD, dtype=np.uint8) for _ in range(workers)]
-    start = raw.tell()
-    n_max = _line_count(raw, buffers[0][:-_PAD])
-    end = raw.tell()
+    buffers = [np.empty(chunk + _SLACK + _PAD, dtype=np.uint8) for _ in range(workers)]
+    # The count reads through a buffer twice as long as a worker's. glibc
+    # sets its mmap threshold to the largest mapped block freed so far, and
+    # trims the heap when more than twice that is free at its top; so once
+    # the count's byte masks are freed, a run's temporaries (the heap grows
+    # by about twice its bytes) come from the heap and stay there for the
+    # next run. Counting through a worker's buffer, most runs faulted their
+    # temporaries in afresh, as the heap's layout fell: on a 2-core VM the
+    # first read of a 13 MB file took 7.7k to 17k minor faults, not 3-4k.
+    n_max, cuts = _line_count(raw, np.empty(2 * (chunk + _SLACK), dtype=np.uint8), chunk)
     out = np.empty((n_max, n_cols), order="F")
     rows = 0
     lock = threading.Lock()
 
-    def read(at, buf):
-        with lock:
-            raw.seek(at)
-            return raw.readinto(buf)
-
-    def past_line_end(at, buf):
-        """The offset just past the file's first line end at or past at, or
-        end."""
-        while at < end and (got := read(at, buf[:_WINDOW])):
-            if found := _LINE_END.search(buf, 0, got):
-                return at + found.end()
-            at += got
-        return end
-
-    def make(lo, buffer):
-        begin = past_line_end(lo, buffer) if lo > start else start
-        size = past_line_end(lo + chunk, buffer) - begin
-        # a line longer than the buffer has room for gets one of its own
+    def make(run, buffer):
+        begin, size = run[0], run[1] - run[0]
+        # a run longer than the buffer (a line longer than the slack) gets
+        # a buffer of its own
         buf = buffer if len(buffer) >= size + _PAD else np.empty(size + _PAD, dtype=np.uint8)
-        size = read(begin, buf[:size])
+        with lock:
+            raw.seek(begin)
+            size = raw.readinto(buf[:size])
         if size and buf[size - 1] not in (_LF, _CR):
             buf[size] = _LF
             size += 1
         return _rows(buf, size, n_cols)
 
-    def take(lo, values):
+    def take(run, values):
         nonlocal rows
         if values is None or rows + len(values) > n_max:
             raise _Declined
@@ -165,7 +167,7 @@ def read_rows(raw, n_cols, chunk, workers):
         rows += len(values)
 
     try:
-        _in_order(make, take, range(start, end, chunk), buffers)
+        _in_order(make, take, list(zip(cuts, cuts[1:])), buffers)
     except _Declined:
         return None
     if rows < 2:

@@ -48,11 +48,23 @@ def _metadata(config, extra=None):
     return meta
 
 
-def _load_or_build(config):
+@contextlib.contextmanager
+def _allocating(key, n):
+    """A MemoryError of a draw of n, which key sets, as a user-input error
+    naming key."""
+    try:
+        yield
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise UserInputError(f"{key} is {n}, more than this host can allocate{detail}") from None
+
+
+def _load_or_build(config, args):
     if config.dataset_path is not None:
         return read_dataset_csv(config.dataset_path)
-    matrix = sample_inputs(config.sampling, config.specs, dependence=config.dependence)
-    return Dataset(inputs=matrix, output=evaluate(config.model, matrix), specs=config.specs)
+    with _allocating("sampling.n" if args.n is None else "--n", config.sampling.n):
+        matrix = sample_inputs(config.sampling, config.specs, dependence=config.dependence)
+        return Dataset(inputs=matrix, output=evaluate(config.model, matrix), specs=config.specs)
 
 
 @contextlib.contextmanager
@@ -128,11 +140,11 @@ def cmd_sample(config, args):
         raise UserInputError("sample requires a model")
     # before the draw: an --out that cannot be a directory costs no sample
     _out_dir(config, args)
-    return {"dataset.csv": _load_or_build(config)}
+    return {"dataset.csv": _load_or_build(config, args)}
 
 
 def cmd_analyze(config, args):
-    dataset = _load_or_build(config)
+    dataset = _load_or_build(config, args)
     report = _report(config, dataset, "analyze")
     meta = _metadata(config, {"rows": dataset.n_rows})
     return {
@@ -145,7 +157,7 @@ def cmd_analyze(config, args):
 
 
 def cmd_simdec(config, args):
-    dataset = _load_or_build(config)
+    dataset = _load_or_build(config, args)
     with _analysis(config, dataset.n_rows, "simdec"):
         report = analyze(dataset, config.binning)
         if args.states is not None:
@@ -171,10 +183,11 @@ def cmd_compare(config, args):
         raise UserInputError("compare requires a model-based config")
     if config.dependence:
         raise UserInputError("oracle requires independent inputs")
-    dataset = _load_or_build(config)
+    dataset = _load_or_build(config, args)
     report = _report(config, dataset, "compare")
-    oracle = estimate_sobol(config.model, config.specs, config.oracle_n, seed=config.sampling.seed,
-                            sampler=config.oracle_sampler)
+    with _allocating("oracle.n", config.oracle_n):
+        oracle = estimate_sobol(config.model, config.specs, config.oracle_n,
+                                seed=config.sampling.seed, sampler=config.oracle_sampler)
     first, second = (
         {key: {"binning": b, "oracle": theirs[key], "delta": b - theirs[key]} for key, b in ours.items()}
         for ours, theirs in zip(named_indices(report), named_indices(oracle))

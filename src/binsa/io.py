@@ -82,8 +82,9 @@ def write_dataset_csv(path, dataset, metadata=None):
     quoted as csv.writer quotes it, and also where it starts with '#'. Each
     block of _ROWS_PER_WRITE rows is laid out as one byte matrix, a
     fixed-width slot per cell and a separator after it: the numbers from
-    _repr.repr_bytes, the labels from a per-column table. The bytes that
-    each slot's mask keeps are written out, so no cell becomes a Python
+    _repr.repr_bytes, the labels from a per-column table. One boolean
+    subscript gathers the bytes that each slot's mask keeps, building no
+    index, and they are written as one array, so no cell becomes a Python
     string.
 
     The blocks are formatted and written in order by binning._in_order, on
@@ -113,10 +114,9 @@ def write_dataset_csv(path, dataset, metadata=None):
         chars[k - 1::k, slot] = ord("\n")
         return np.empty((block_rows, k)), chars, keep
 
-    def pieces(start, buffers):
+    def block(start, buffers):
         """The bytes of the block at row start, formatted in one worker's
-        buffers, as two arrays: np.compress builds an index of 8 bytes per
-        byte it keeps, so each half of the block bounds that index."""
+        buffers."""
         values, chars, keep = buffers
         rows = min(_ROWS_PER_WRITE, n - start)
         values = values[:rows]
@@ -132,16 +132,12 @@ def write_dataset_csv(path, dataset, metadata=None):
             cells_chars[:, j, :width] = label_chars[codes]
             cells_keep[:, j, :width] = label_keep[codes]
             cells_keep[:, j, width:slot] = False
-        keep, chars, half = keep.ravel(), chars.ravel(), rows // 2 * k * (slot + 1)
-        return np.compress(keep[:half], chars[:half]), np.compress(keep[half:], chars[half:])
-
-    def write(start, data):
-        for piece in data:
-            fh.write(piece)
+        return chars.ravel()[keep.ravel()]
 
     with open(path, "wb") as fh:
         fh.write(head.encode("utf-8"))
-        _in_order(pieces, write, blocks, [allocate() for _ in range(_workers(len(blocks)))])
+        _in_order(block, lambda start, data: fh.write(data), blocks,
+                  [allocate() for _ in range(_workers(len(blocks)))])
 
 
 def _bulk_rows(fh, n_cols):
@@ -215,26 +211,15 @@ def _row_not_utf8(path):
 def _read_dataset_csv(path, specs):
     """read_dataset_csv, less the wording of an unreadable file.
 
-    The '#' lines and the header are read a line at a time, and the bytes
-    after them go to _bulk_rows; if the bulk parser declines them,
-    _checked_rows reads the same file again from the top. A UTF-8
-    byte-order mark (Excel's "CSV UTF-8") is dropped.
+    _records reads the header, and the bytes after it go to _bulk_rows; if
+    the bulk parser declines them, _checked_rows reads the rows of another
+    _records of the same file. A UTF-8 byte-order mark (Excel's "CSV
+    UTF-8") is dropped.
     """
     with open(path, encoding="utf-8-sig") as fh:
-        head = []
-
-        def lines():
-            for line in iter(fh.readline, ""):
-                head.append(line)
-                if not line.startswith("#"):
-                    yield line
-
-        # csv.reader takes only the lines of the header's record
-        reader = csv.reader(lines())
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise UserInputError(f"{path}: empty file") from None
+        _, header, head = _records(fh)
+        if header is None:
+            raise UserInputError(f"{path}: empty file")
         if len(header) < 2:
             raise UserInputError(f"{path}: need at least one input column and one output column")
         names = header[:-1]
@@ -255,12 +240,7 @@ def _read_dataset_csv(path, specs):
             _seek_data(fh.buffer, head)
             data = _bulk_rows(fh.buffer, len(header))
         if data is None:
-            fh.seek(0)
-            # a '#' line reads as a blank row, so reader.line_num is the
-            # file line; the first row that is not blank is the header
-            reader = csv.reader("\n" if ln.startswith("#") else ln for ln in fh)
-            next(filter(None, reader))
-            data = _checked_rows(path, reader, header, level_maps)
+            data = _checked_rows(path, _records(fh)[0], header, level_maps)
     promised = _promised_rows(head)
     if promised not in (None, len(data)):
         raise UserInputError(f"{path}: {len(data)} data rows, but its '# meta' line promises "
@@ -286,6 +266,26 @@ def _read_dataset_csv(path, specs):
             specs.append(InputSpec(name=name, distribution=MarginalDistribution.uniform(lo, hi)))
         specs = tuple(specs)
     return Dataset(inputs=inputs, output=output, specs=specs)
+
+
+def _records(fh):
+    """The one csv.reader of the text file fh, from its start, in which a
+    '#' line reads as a blank row, so that reader.line_num is the file line;
+    it is advanced past the header, the first record that is not blank.
+    Returns the reader, the header (None if there is none) and the lines
+    read up to the header's end."""
+    fh.seek(0)
+    head, header = [], None
+
+    def lines():
+        for line in iter(fh.readline, ""):
+            if header is None:
+                head.append(line)
+            yield "\n" if line.startswith("#") else line
+
+    reader = csv.reader(lines())
+    header = next(filter(None, reader), None)
+    return reader, header, head
 
 
 def _promised_rows(head):
@@ -670,6 +670,14 @@ def config_from_dict(raw, overrides=None):
     )
 
 
+def _known_keys(obj, where, keys):
+    """Raise for the first key of the states file's JSON object obj, at
+    where, that is not one of keys."""
+    for key in obj:
+        if key not in keys:
+            raise UserInputError(f"{where}: unknown key {key!r}")
+
+
 def _state(st, where, column, levels):
     """One state of a states file: level labels for a categorical column, a
     numeric [min, max) range for any other."""
@@ -695,6 +703,8 @@ def _state(st, where, column, levels):
             if not number or not abs(v) <= sys.float_info.max:
                 raise UserInputError(f"{where} needs a finite number for {key!r}, got {v!r}")
         state = State(label=st.get("name", ""), lo=float(lo), hi=float(hi))
+    # after the keys a state needs, whose absence says more
+    _known_keys(st, where, ("name", "levels") if levels else ("name", "min", "max"))
     if not isinstance(state.label, str):
         raise UserInputError(f"{where}: name must be a string, got {state.label!r}")
     return state
@@ -707,7 +717,8 @@ def load_states_file(path, dataset):
     ...]}, ...]. Categorical states use {"name": ..., "levels": [...]}.
     Numeric states are ascending and contiguous (each max is the next min)
     and must cover the column; the first input has at most one state per
-    scenario hue. Errors name the entry and the state, from 0.
+    scenario hue. A key that is not one of these is an error. Errors name
+    the entry and the state, from 0.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -722,6 +733,7 @@ def load_states_file(path, dataset):
         where = f"states file entry {i}"
         if not isinstance(entry, dict) or not isinstance(entry.get("states", []), list):
             raise UserInputError(f"{where} must be a JSON object with a list of states")
+        _known_keys(entry, where, ("input", "states"))
         name = entry.get("input")
         if name not in names:
             raise UserInputError(f"{where} references unknown column {name!r}")

@@ -520,10 +520,19 @@ def _states(*edges):
         ([{"input": "x1", "states": [3, {"name": "b", "min": 0, "max": 4}]}],
          "states file entry 0, state 0 must be a JSON object, got 3"),
         ([], "states file defines no inputs"),
+        ([{"input": "x1", "typo": 1, "states": _states(-4, 0, 4)}],
+         "states file entry 0: unknown key 'typo'"),
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 0},
+                                     {"name": "b", "min": 0, "max": 4, "colour": "red"}]}],
+         "states file entry 0, state 1: unknown key 'colour'"),
+        ([{"input": "x1", "states": [{"name": "a", "min": -4, "max": 0, "levels": ["a"]},
+                                     {"name": "b", "min": 0, "max": 4}]}],
+         "states file entry 0, state 0: unknown key 'levels'"),
     ],
     ids=["missing-min", "top-level-object", "entry-not-object", "eleven-states", "not-covering",
          "gap", "descending", "overlap", "huge-int", "label-not-string", "repeated-input",
-         "state-not-object", "no-entries"],
+         "state-not-object", "no-entries", "unknown-entry-key", "unknown-state-key",
+         "levels-on-a-numeric-column"],
 )
 def test_bad_states_file_is_exit_2_naming_the_entry(tmp_path, capsys, states, message):
     path = tmp_path / "states.json"
@@ -948,6 +957,36 @@ def test_an_allocation_the_host_cannot_make_is_exit_2(tmp_path, capsys, monkeypa
     assert code == 2, err
     assert err == "error: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, argv, config, target, message", [
+    ("sample", ["--model", "toy_portfolio", "--n", "1000000000", "--sampler", "mc"], None,
+     "sample_inputs", "--n is 1000000000"),
+    ("analyze", [], {"model": "ishigami", "sampling": {"n": 1e9, "method": "MC"}},
+     "sample_inputs", "sampling.n is 1000000000"),
+    ("compare", [], {"model": "ishigami", "sampling": {"n": 2000}, "oracle": {"n": 1e9}},
+     "estimate_sobol", "oracle.n is 1000000000"),
+], ids=["sample-flag", "analyze-config", "compare-oracle"])
+def test_a_sample_the_host_cannot_allocate_is_exit_2_naming_its_key(tmp_path, capsys, monkeypatch,
+                                                                      command, argv, config,
+                                                                      target, message):
+    # patched, as a real draw of 1e9 rows would depend on the host's memory
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 44.7 GiB for an array with shape (1000000000, 6)")
+
+    monkeypatch.setattr(binsa.cli, target, refuse)
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    code, stdout, err = run([command, *argv, "--out", str(out)], capsys)
+    assert code == 2, err
+    assert err == (f"error: {message}, more than this host can allocate: Unable to allocate "
+                   "44.7 GiB for an array with shape (1000000000, 6)\n")
+    assert stdout == ""
+    # sample makes its output directory before it draws
+    assert list(out.iterdir()) == [] if command == "sample" else not out.exists()
 
 
 @pytest.mark.parametrize("command, below_a_file, from_config", [

@@ -226,7 +226,7 @@ class _FileFailingOnWrite:
 
 @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
 def test_dataset_write_raises_a_failed_file_write(tmp_path, monkeypatch, cpus):
-    # the header is write 1 and each block takes two: write 6 is the third
+    # the header is write 1 and each block takes one: write 6 is the fifth
     # block's
     ds = _labelled_dataset(6 * binsa.io._ROWS_PER_WRITE, seed=2)
     monkeypatch.setattr(binsa.io, "open", lambda path, mode: _FileFailingOnWrite(path, mode, 6),
@@ -454,6 +454,23 @@ def test_bulk_and_checked_reads_agree_bitwise(tmp_path, monkeypatch, text, bulk)
     assert fast.output.tobytes() == loop.output.tobytes()
 
 
+@pytest.mark.parametrize("head", ["\n", '# meta {"seed": 1}\n\n', "\r\n\r\n"],
+                         ids=["blank-line", "meta-then-blank-line", "crlf-blank-lines"])
+def test_blank_lines_before_the_header_are_skipped(tmp_path, monkeypatch, head):
+    # by both readers, as blank lines between rows are
+    text = "a,b,output\n1.5,-2,0.25\n3,4e-3,5\n-0.0,7,8\n"
+    p = tmp_path / "d.csv"
+    p.write_text(text, newline="")
+    want = read_dataset_csv(p)
+    p.write_text(head + text, newline="")
+    fast, used_bulk, loop = _read_both_ways(p, monkeypatch)
+    assert used_bulk
+    for got in (fast, loop):
+        assert got.specs == want.specs
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert got.output.tobytes() == want.output.tobytes()
+
+
 def test_read_csv_drops_a_utf8_byte_order_mark(tmp_path, monkeypatch):
     # Excel's "CSV UTF-8" starts the file with EF BB BF, before the header or
     # before a '#' line
@@ -611,6 +628,50 @@ def test_bulk_read_is_the_same_for_any_chunk_size_and_worker_count(tmp_path):
                 assert rows.tobytes(order="F") == want, (chunk, workers)
     finally:
         sys.setswitchinterval(interval)
+
+
+class _CountingFile:
+    """A binary file that counts how often readinto gives each of its bytes."""
+
+    def __init__(self, path):
+        self.fh = open(path, "rb")
+        self.reads = np.zeros(os.path.getsize(path), dtype=np.int64)
+
+    def tell(self):
+        return self.fh.tell()
+
+    def seek(self, at):
+        return self.fh.seek(at)
+
+    def readinto(self, buf):
+        at = self.fh.tell()
+        got = self.fh.readinto(buf)
+        self.reads[at:at + got] += 1
+        return got
+
+
+def test_bulk_read_reads_each_byte_of_the_body_twice(tmp_path):
+    # once to count the lines and cut the runs, once in its run; one line,
+    # longer than a worker's buffer at the 4096-byte chunks, is read into a
+    # buffer of its own, and the last line has no line end
+    x = np.random.default_rng(4).normal(size=(500, 3))
+    lines = [",".join(map(repr, row)) + ("\r\n" if i % 3 else "\n")
+             for i, row in enumerate(x.tolist())]
+    x[200, 0] = 1.0
+    lines[200] = "1." + "0" * 9000 + lines[200][lines[200].index(","):]
+    lines[-1] = lines[-1].rstrip()
+    header = b"a,b,output\n"
+    p = tmp_path / "d.csv"
+    p.write_bytes(header + "".join(lines).encode())
+    for chunk in (13, 100, 4096):
+        for workers in (1, 2, 3):
+            raw = _CountingFile(p)
+            with raw.fh:
+                raw.seek(len(header))
+                rows = binsa._parse.read_rows(raw, 3, chunk, workers)
+            assert rows.tobytes(order="F") == x.tobytes(order="F"), (chunk, workers)
+            assert not raw.reads[:len(header)].any(), (chunk, workers)
+            assert (raw.reads[len(header):] == 2).all(), (chunk, workers, np.unique(raw.reads))
 
 
 def test_bulk_read_of_exponents_in_one_chunk_is_bitwise_float(tmp_path):
@@ -1037,6 +1098,8 @@ def test_load_states_file_categorical_column(tmp_path):
         load([{"levels": ["u", "v"]}, {"levels": ["z"]}])
     with pytest.raises(UserInputError, match="entry 0, states for input index 0 do not cover"):
         load([{"levels": ["u"]}, {"levels": ["v"]}])
+    with pytest.raises(UserInputError, match=r"^states file entry 0, state 1: unknown key 'max'$"):
+        load([{"levels": ["u", "v"]}, {"levels": ["w"], "max": 3}])
 
 
 def test_config_sampling_whole_numbers_may_be_written_as_floats():
